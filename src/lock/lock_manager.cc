@@ -703,10 +703,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     }
   }
 
-  // Pass 2: group by shard and visit each shard mutex once — or, for
-  // combining-enabled requests (downward propagation), publish the group
-  // into the shard's flat-combining mailbox so one combiner applies many
-  // propagators' batches under a single mutex acquisition.  Immediate
+  // Pass 2: group by shard and visit each shard mutex once.  Immediate
   // grants may land out of path order; that is invisible to other
   // transactions (each grant only *adds* to this transaction's hold set)
   // and the root-to-leaf order is restored for anything that must wait.
@@ -719,55 +716,19 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     const size_t first = static_cast<size_t>(std::countr_zero(rest));
     const uint32_t shard_idx = shard_of[first];
     Shard& shard = shards_[shard_idx];
-    // Gather this shard's group.
-    ResourceId group_res[kMaxBatch];
-    LockMode group_mode[kMaxBatch];
-    size_t group_idx[kMaxBatch];
-    size_t g = 0;
+    MutexLock lk(shard.mu);
+    // This shard's group, in path order.
     for (uint64_t scan = rest; scan != 0; scan &= scan - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(scan));
       if (shard_of[i] != shard_idx) continue;
       rest &= ~(uint64_t{1} << i);
-      group_res[g] = path[i];
-      group_mode[g] = mode_of(i);
-      group_idx[g] = i;
-      ++g;
-    }
-    uint32_t cgranted = 0;
-    uint32_t crecord = 0;
-    LockMode cmodes[kCombineItems];
-    bool combined = false;
-    if (options.combine && g <= kCombineItems) {
-      combined = CombineAcquireShard(
-          shard, txn, std::span<const ResourceId>(group_res, g),
-          std::span<const LockMode>(group_mode, g), options, &cgranted,
-          &crecord, cmodes);
-    }
-    if (combined) {
-      for (size_t k = 0; k < g; ++k) {
-        const size_t i = group_idx[k];
-        if ((cgranted & (uint32_t{1} << k)) != 0) {
-          granted_of[i] = cmodes[k];
-          granted_mask |= uint64_t{1} << i;
-          if ((crecord & (uint32_t{1} << k)) != 0) {
-            newly_held[num_newly_held++] = path[i];
-          }
-        } else {
-          deferred_mask |= uint64_t{1} << i;
-        }
-      }
-      continue;
-    }
-    MutexLock lk(shard.mu);
-    for (size_t k = 0; k < g; ++k) {
-      const size_t i = group_idx[k];
       Entry& entry = EntryFor(shard, path[i]);
       bool record_held = false;
       LockMode granted = LockMode::kNL;
       bool ok;
       {
         EntryMutation em(entry);
-        ok = TryGrantLocked(shard, entry, txn, group_mode[k], options, granted,
+        ok = TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
                             record_held);
       }
       if (ok) {
@@ -828,146 +789,6 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     Release(txn, path[i], cache);
   }
   return status;
-}
-
-// ---- Flat combining ------------------------------------------------------
-
-bool LockManager::CombineAcquireShard(Shard& shard, TxnId txn,
-                                      std::span<const ResourceId> res,
-                                      std::span<const LockMode> modes,
-                                      const AcquireOptions& options,
-                                      uint32_t* granted, uint32_t* record,
-                                      LockMode* granted_modes) {
-  CombineRequest* own = nullptr;
-  for (CombineRequest& c : shard.combine) {
-    uint32_t expected = kCombineEmpty;
-    if (c.state.compare_exchange_strong(expected, kCombinePublishing,
-                                        wm::acq_rel)) {
-      own = &c;
-      break;
-    }
-  }
-  if (own == nullptr) return false;  // mailboxes busy: use the direct path
-  own->txn = txn;
-  own->n = static_cast<uint32_t>(res.size());
-  own->duration = options.duration;
-  // Drain order: descending root node id — the global acquisition order
-  // the deadlock-order proof establishes for propagation chains.
-  own->order_key = res[0].node;
-  for (size_t i = 0; i < res.size(); ++i) {
-    own->res[i] = res[i];
-    own->mode[i] = modes[i];
-  }
-  stats_.combine_published.Add();
-  // Order-weakening mutation point: the Published transition carries the
-  // plain request fields to the combiner's acquire-claim — relaxed, the
-  // batch read races the publisher's writes (codlock_wmc:
-  // mailbox_publish_drain, wm.mailbox-publish-relaxed).
-  own->state.store(kCombinePublished,
-                   mutation::WeakenedOrder(
-                       mutation::Mutant::kWmMailboxPublishRelaxed,
-                       wm::seq_cst));
-
-  // Combine or be combined: give a running combiner a brief chance to pick
-  // the batch up, grabbing the mutex ourselves when it is free.  The
-  // blocking fallback is bounded — shard mutex holders never sleep (waits
-  // release it) — and self-drains, so a published request always
-  // completes regardless of scheduling.
-  bool done = false;
-  for (int spin = 0; spin < 64; ++spin) {
-    const uint32_t st = own->state.load(wm::acquire);
-    if (st == kCombineDone) {
-      done = true;
-      break;
-    }
-    if (st == kCombinePublished && shard.mu.TryLock()) {
-      CombinerDrain(shard, own);
-      shard.mu.Unlock();
-      done = true;
-      break;
-    }
-    std::this_thread::yield();
-  }
-  while (!done) {
-    shard.mu.Lock();
-    CombinerDrain(shard, own);
-    shard.mu.Unlock();
-    // A concurrent combiner may have claimed the batch before we got the
-    // mutex; wait for it to publish the results.
-    while (own->state.load(wm::acquire) == kCombineClaimed) {
-      std::this_thread::yield();
-    }
-    done = own->state.load(wm::acquire) == kCombineDone;
-  }
-  *granted = own->granted_mask;
-  *record = own->record_mask;
-  for (uint32_t i = 0; i < own->n; ++i) granted_modes[i] = own->granted[i];
-  own->state.store(kCombineEmpty, wm::release);
-  return true;
-}
-
-void LockManager::CombinerDrain(Shard& shard, const CombineRequest* own) {
-  CombineRequest* batch[kCombineSlots];
-  size_t nb = 0;
-  for (CombineRequest& c : shard.combine) {
-    uint32_t expected = kCombinePublished;
-    if (c.state.compare_exchange_strong(expected, kCombineClaimed,
-                                        wm::acq_rel)) {
-      batch[nb++] = &c;
-    }
-  }
-  if (nb == 0) return;
-  // Insertion sort, descending order_key (at most kCombineSlots = 4
-  // elements; also sidesteps std::sort's 16-element insertion threshold
-  // tripping -Warray-bounds on the tiny stack array).
-  for (size_t i = 1; i < nb; ++i) {
-    CombineRequest* key = batch[i];
-    size_t j = i;
-    while (j > 0 && batch[j - 1]->order_key < key->order_key) {
-      batch[j] = batch[j - 1];
-      --j;
-    }
-    batch[j] = key;
-  }
-  for (size_t bi = 0; bi < nb; ++bi) {
-    CombineRequest& req = *batch[bi];
-    req.granted_mask = 0;
-    req.record_mask = 0;
-    // Mutation point (kill-suite only): report every item granted without
-    // applying any of them.  The publisher then caches modes the lock
-    // table never granted and the cache-coherence oracle must see the
-    // phantom claim.
-    if (mutation::Enabled(mutation::Mutant::kCombineDropRequest)) {
-      for (uint32_t i = 0; i < req.n; ++i) {
-        req.granted_mask |= uint32_t{1} << i;
-        req.granted[i] = req.mode[i];
-      }
-      req.state.store(kCombineDone, wm::seq_cst);
-      continue;
-    }
-    AcquireOptions opts;
-    opts.duration = req.duration;
-    for (uint32_t i = 0; i < req.n; ++i) {
-      Entry& entry = EntryFor(shard, req.res[i]);
-      bool record_held = false;
-      LockMode g = LockMode::kNL;
-      bool ok;
-      {
-        EntryMutation em(entry);
-        ok = TryGrantLocked(shard, entry, req.txn, req.mode[i], opts, g,
-                            record_held);
-      }
-      if (ok) {
-        req.granted_mask |= uint32_t{1} << i;
-        req.granted[i] = g;
-        if (record_held) req.record_mask |= uint32_t{1} << i;
-      }
-      // A failed item stays with its publisher (blocking pass 3); the
-      // entry is non-empty when a grant fails, so nothing to retire here.
-    }
-    if (&req != own) stats_.combine_drained.Add();
-    req.state.store(kCombineDone, wm::seq_cst);
-  }
 }
 
 // ---- Locked grant/wait machinery -----------------------------------------

@@ -41,12 +41,6 @@
 ///    undoes the claim and falls back to the locked slow path.  Fast-path
 ///    holders are first-class: every compatibility test, blocker set,
 ///    snapshot and mode query merges them with the holder vector.
-///  * **Flat-combined propagation batches.**  `AcquirePath` with
-///    `AcquireOptions::combine` publishes each per-shard batch into one of
-///    the shard's combining slots; whoever holds (or first grabs) the
-///    shard mutex drains all published batches in descending-node order —
-///    the proved global acquisition order — so concurrent propagators pay
-///    one mutex acquisition between them instead of one each.
 ///  * **Epoch-based reclamation.**  Entries live in per-shard lock-free
 ///    bucket chains.  Retiring an entry unlinks it under the mutex and
 ///    stamps it with the global epoch (`lock/ebr.h`); the node is reused
@@ -117,10 +111,6 @@ struct AcquireOptions {
   LockDuration duration = LockDuration::kShort;
   /// If false, a conflicting request fails immediately with kConflict.
   bool wait = true;
-  /// Opt into flat combining for `AcquirePath`'s per-shard batches (set by
-  /// the protocol layer for downward-propagation chains, where concurrent
-  /// propagators pile onto the same shards).
-  bool combine = false;
   /// Deadline for a waiting request, in milliseconds.  `kTimeoutDefault`
   /// (= 0) uses the manager default; `kTimeoutInfinite` waits without a
   /// deadline.
@@ -387,40 +377,6 @@ class LockManager {
     uint64_t retire_stamp = 0;       ///< EBR epoch at unlink (shard mutex)
   };
 
-  // ---- Flat-combining slot ----------------------------------------------
-
-  enum CombineState : uint32_t {
-    kCombineEmpty = 0,
-    kCombinePublishing,
-    kCombinePublished,
-    kCombineClaimed,
-    kCombineDone,
-  };
-
-  /// Most resources of one path landing on one shard that can be combined
-  /// (protocol paths are 4–13 deep; larger groups fall back to the direct
-  /// mutex path).
-  static constexpr size_t kCombineItems = 16;
-  static constexpr size_t kCombineSlots = 4;
-
-  /// One published per-shard batch of immediate-grant attempts.  Fields
-  /// between `state` transitions are owned by exactly one side: the
-  /// publisher fills the request before kPublished, the combiner fills the
-  /// results before kDone, the publisher reads them before kEmpty.
-  struct CombineRequest {
-    wm::Atomic<uint32_t> state{kCombineEmpty};
-    TxnId txn = kInvalidTxn;
-    uint32_t n = 0;
-    uint64_t order_key = 0;   ///< descending drain order (root node id)
-    LockDuration duration = LockDuration::kShort;
-    std::array<ResourceId, kCombineItems> res{};
-    std::array<LockMode, kCombineItems> mode{};
-    // Results (combiner-written).
-    uint32_t granted_mask = 0;
-    uint32_t record_mask = 0;
-    std::array<LockMode, kCombineItems> granted{};
-  };
-
   static constexpr size_t kBucketsPerShard = 256;
 
   struct Shard {
@@ -432,8 +388,6 @@ class LockManager {
     size_t num_entries CODLOCK_GUARDED_BY(mu) = 0;
     /// Unlinked entries awaiting epoch-safe reuse, oldest first.
     std::vector<Entry*> retired CODLOCK_GUARDED_BY(mu);
-    /// Flat-combining mailboxes.
-    std::array<CombineRequest, kCombineSlots> combine{};
   };
 
   /// Per-shard cap on pooled (retired) entry nodes beyond which epoch-safe
@@ -578,24 +532,6 @@ class LockManager {
   /// Lock-free release of one fast-path acquisition.  kReleasedLast means
   /// the slot was freed entirely (the caller should drop its cached mode).
   FpRelease FastpathRelease(TxnId txn, ResourceId resource);
-
-  /// Flat-combining execution of one per-shard batch: publishes the
-  /// request, then either drains the shard's mailboxes itself (when it
-  /// gets the mutex) or waits for a concurrent combiner to apply it.
-  /// Returns false when no mailbox was free (caller uses the direct path).
-  bool CombineAcquireShard(Shard& shard, TxnId txn,
-                           std::span<const ResourceId> res,
-                           std::span<const LockMode> modes,
-                           const AcquireOptions& options, uint32_t* granted,
-                           uint32_t* record, LockMode* granted_modes)
-      CODLOCK_EXCLUDES(shard.mu, registry_mu_);
-
-  /// Applies every published mailbox of \p shard in descending order-key
-  /// order.  Caller holds the shard mutex; \p own (may be null) is the
-  /// caller's own mailbox, used only to count batches drained on behalf of
-  /// *other* publishers.
-  void CombinerDrain(Shard& shard, const CombineRequest* own)
-      CODLOCK_REQUIRES(shard.mu);
 
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
   /// waits-for graph, promotes unblocked waiters and drops an empty entry.

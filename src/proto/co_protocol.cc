@@ -173,13 +173,7 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
     ep_mode = LockMode::kS;
   }
 
-  lock::AcquireOptions opts = AcquireOpts(txn);
-  // Downward propagation is the one workload where concurrent transactions
-  // systematically pile onto the *same* shards (shared entry-point chains,
-  // acquired in one global order): publish each per-shard batch into the
-  // shard's flat-combining mailbox so one mutex holder applies many
-  // propagators' batches.
-  opts.combine = true;
+  const lock::AcquireOptions opts = AcquireOpts(txn);
 
   // Implicit upward propagation: the concurrency control manager locks all
   // immediate parents of the entry point up to the root of the superunit,

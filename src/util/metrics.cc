@@ -119,8 +119,6 @@ std::string LockStats::ToString() const {
      << " cache_hits=" << cache_hits.value()
      << " fastpath=" << fastpath_grants.value()
      << " fastpath_fail=" << fastpath_failures.value()
-     << " combine_pub=" << combine_published.value()
-     << " combine_drained=" << combine_drained.value()
      << " waits=" << waits.value()
      << " conflicts=" << conflicts.value()
      << " compat_tests=" << compat_tests.value()
@@ -165,8 +163,6 @@ std::string LockStats::ToJson() const {
   field("cache_hits", cache_hits.value());
   field("fastpath_grants", fastpath_grants.value());
   field("fastpath_failures", fastpath_failures.value());
-  field("combine_published", combine_published.value());
-  field("combine_drained", combine_drained.value());
   field("waits", waits.value());
   field("conflicts", conflicts.value());
   field("compat_tests", compat_tests.value());

@@ -76,10 +76,10 @@ struct LockStats {
   Counter fastpath_failures;  ///< Fast-path attempts that failed seqlock
                               ///< revalidation and fell back to the slow
                               ///< path after undoing their claim.
-  Counter combine_published;  ///< Propagation batches published into a
-                              ///< per-shard flat-combining slot.
-  Counter combine_drained;    ///< Published batches applied by a combiner
-                              ///< other than their publisher.
+  Counter combine_published;  ///< No longer incremented; kept only because
+                              ///< the benchmark reads it.
+  Counter combine_drained;    ///< No longer incremented; kept only because
+                              ///< the benchmark reads it.
   Counter waits;              ///< Requests that blocked at least once.
   Counter conflicts;          ///< Compatibility-test failures.
   Counter compat_tests;       ///< Compatibility tests executed.

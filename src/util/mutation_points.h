@@ -31,10 +31,6 @@
 ///    grants without checking the entry's seqlock grant summary (neither
 ///    the premise nor the post-claim revalidation).  An S/IS slips in over
 ///    an exclusive holder: caught by the compatibility-soundness oracle.
-///  * `kCombineDropRequest`  — the flat combiner marks a published
-///    propagation request granted without applying it to the lock table.
-///    The publisher's cache then claims a mode the shard never granted:
-///    caught by the cache-coherence (and visibility) oracles.
 ///  * `kRingSkipReclaim`     — the dead-handle reclaim skips unconsumed
 ///    published frames (`kPublished` strands stay in the ring forever).
 ///    Caught by the ring frame-conservation oracle: at quiescence the
@@ -59,10 +55,6 @@
 ///  * `kWmEbrEpochRelaxed`    — the EBR guard's pin/validate accesses go
 ///    relaxed.  A reclaimer's scan may miss a published pin and reuse a
 ///    node a pinned reader still dereferences.
-///  * `kWmMailboxPublishRelaxed` — the flat-combining mailbox's
-///    `kCombinePublished` transition goes relaxed.  The combiner's
-///    acquire-claim no longer synchronizes with the publisher's plain
-///    request fields: a torn batch (data race) becomes observable.
 
 #ifndef CODLOCK_UTIL_MUTATION_POINTS_H_
 #define CODLOCK_UTIL_MUTATION_POINTS_H_
@@ -82,12 +74,10 @@ enum class Mutant : uint32_t {
   kDropCacheInvalidation,
   kSkipWaiterWakeup,
   kFastpathSkipValidation,
-  kCombineDropRequest,
   kRingSkipReclaim,
   kWmSummaryLoadRelaxed,
   kWmSlotCasRelaxed,
   kWmEbrEpochRelaxed,
-  kWmMailboxPublishRelaxed,
   kNumMutants,
 };
 
@@ -147,7 +137,6 @@ inline bool IsOrderWeakening(Mutant m) {
     case Mutant::kWmSummaryLoadRelaxed:
     case Mutant::kWmSlotCasRelaxed:
     case Mutant::kWmEbrEpochRelaxed:
-    case Mutant::kWmMailboxPublishRelaxed:
       return true;
     default:
       return false;
@@ -168,8 +157,6 @@ inline std::string_view MutantName(Mutant m) {
       return "skip-waiter-wakeup";
     case Mutant::kFastpathSkipValidation:
       return "fastpath.skip-validation";
-    case Mutant::kCombineDropRequest:
-      return "combine.drop-request";
     case Mutant::kRingSkipReclaim:
       return "ring.skip-reclaim";
     case Mutant::kWmSummaryLoadRelaxed:
@@ -178,8 +165,6 @@ inline std::string_view MutantName(Mutant m) {
       return "wm.slot-cas-relaxed";
     case Mutant::kWmEbrEpochRelaxed:
       return "wm.ebr-epoch-relaxed";
-    case Mutant::kWmMailboxPublishRelaxed:
-      return "wm.mailbox-publish-relaxed";
     case Mutant::kNumMutants:
       break;
   }

@@ -318,87 +318,6 @@ Result RunEbrPinVsStamp(Checker::Options opts) {
   return chk.Run();
 }
 
-// ---- mailbox_publish_drain ------------------------------------------------
-// Flat-combining handoff, distilled from `CombineAcquireShard` /
-// `CombinerDrain`: the publisher fills plain request fields and flips the
-// mailbox to Published; a combiner claims it (Published -> Claimed), reads
-// the request, writes plain results, and flips to Done; the publisher
-// reads the results after seeing Done.  Two combiners race the claim: CAS
-// atomicity must drain the batch exactly once, and every plain field
-// crossing must be ordered by the state transitions.
-// `wm.mailbox-publish-relaxed` weakens the Published store: the combiner's
-// acquire-claim then reads a store with no release payload and the request
-// fields race.
-
-constexpr uint64_t kMbEmpty = 0;
-constexpr uint64_t kMbPublishing = 1;
-constexpr uint64_t kMbPublished = 2;
-constexpr uint64_t kMbClaimed = 3;
-constexpr uint64_t kMbDone = 4;
-
-Result RunMailboxPublishDrain(Checker::Options opts) {
-  struct State {
-    Atomic<uint64_t> state;
-    Var<uint64_t> req_payload;
-    Var<uint64_t> req_n;
-    Var<uint64_t> result;
-    Var<uint64_t> got;
-    Var<uint64_t> drained_a;
-    Var<uint64_t> drained_b;
-  } s;
-  s.state.SetName("mailbox.state");
-  s.req_payload.SetName("req.payload");
-  s.req_n.SetName("req.n");
-  s.result.SetName("req.result");
-
-  auto combiner = [&s](Var<uint64_t>& drained) {
-    // CombinerDrain under the shard mutex: claim published mailboxes.
-    // (The kernel awaits the publish rather than spinning on TryLock.)
-    s.state.AwaitPred([](uint64_t v) { return v >= kMbPublished; });
-    uint64_t expected = kMbPublished;
-    if (s.state.compare_exchange_strong(expected, kMbClaimed, acq_rel)) {
-      const uint64_t p = s.req_payload.Get();
-      const uint64_t n = s.req_n.Get();
-      s.result.Set(p + n);
-      drained.Set(1);
-      s.state.store(kMbDone, seq_cst);
-    }
-  };
-
-  Checker chk(opts);
-  chk.OnReset([&] {
-    s.state.store(kMbEmpty, relaxed);
-    s.req_payload.Set(0);
-    s.req_n.Set(0);
-    s.result.Set(0);
-    s.got.Set(0);
-    s.drained_a.Set(0);
-    s.drained_b.Set(0);
-  });
-  chk.AddThread("publisher", [&] {
-    uint64_t expected = kMbEmpty;
-    if (!s.state.compare_exchange_strong(expected, kMbPublishing, acq_rel)) {
-      return;  // unreachable: sole publisher
-    }
-    s.req_payload.Set(41);
-    s.req_n.Set(1);
-    s.state.store(kMbPublished,
-                  WeakenedOrder(Mutant::kWmMailboxPublishRelaxed, seq_cst));
-    s.state.AwaitEq(kMbDone);
-    s.got.Set(s.result.Get());
-    // (The production Empty reset is elided: it would make the combiners'
-    // "published yet?" wait indistinguishable from the initial state.)
-  });
-  chk.AddThread("combiner-a", [&] { combiner(s.drained_a); });
-  chk.AddThread("combiner-b", [&] { combiner(s.drained_b); });
-  chk.AddInvariant("drained exactly once", [&] {
-    return s.drained_a.Get() + s.drained_b.Get() == 1;
-  });
-  chk.AddInvariant("publisher read the combiner's result",
-                   [&] { return s.got.Get() == 42; });
-  return chk.Run();
-}
-
 const std::vector<Harness> kHarnesses = {
     {"mp_publish", "release/acquire message passing (sw baseline)", 20000,
      false, RunMpPublish},
@@ -414,16 +333,12 @@ const std::vector<Harness> kHarnesses = {
      RunSlotClaimRace},
     {"ebr_pin_vs_stamp", "EBR pin/validate vs unlink/stamp/scan/reuse",
      60000, false, RunEbrPinVsStamp},
-    {"mailbox_publish_drain",
-     "flat-combining publish/claim/drain/done handoff", 150000, false,
-     RunMailboxPublishDrain},
 };
 
 const std::vector<KillCase> kKillSuite = {
     {Mutant::kWmSummaryLoadRelaxed, "summary_publish_validate"},
     {Mutant::kWmSlotCasRelaxed, "summary_publish_validate"},
     {Mutant::kWmEbrEpochRelaxed, "ebr_pin_vs_stamp"},
-    {Mutant::kWmMailboxPublishRelaxed, "mailbox_publish_drain"},
 };
 
 }  // namespace

@@ -436,12 +436,16 @@ Result<query::QueryResult> Server::RunShortTxn(authz::UserId user,
     txn::Transaction* txn = txns_->Begin(user, txn::TxnKind::kShort);
     const lock::TxnId id = txn->id();
     Result<query::QueryResult> result = executor_->Execute(*txn, query, *plan);
+    // A finished attempt is dropped from the manager; one whose finish
+    // failed (crash mid-EOT) stays registered for crash recovery.
     if (result.ok()) {
       CODLOCK_RETURN_IF_ERROR(txns_->Commit(txn));
+      txns_->Forget(id);
       return result;
     }
     const Status failure = result.status();
-    txns_->Abort(txn, failure);  // classifies the cause into stats
+    // Abort classifies the cause into stats.
+    if (txns_->Abort(txn, failure).ok()) txns_->Forget(id);
     if (!options_.retry.ShouldRetry(failure, attempt)) return failure;
     lm_->stats().retries.Add();
     // Jitter is seeded from the aborted attempt's id: deterministic for a

@@ -106,6 +106,22 @@ TEST_F(ServerTest, ShortLocksDieInCrash) {
   EXPECT_EQ(server.lock_manager().NumEntries(), 0u);
 }
 
+TEST_F(ServerTest, ShortTxnsAreForgottenAfterFinish) {
+  // A finished short transaction leaves no bookkeeping behind: every id
+  // handed out between two bracketing transactions is gone again.
+  Server server(f_.catalog.get(), f_.store.get());
+  txn::TxnManager& txns = server.txn_manager();
+  const lock::TxnId a = txns.Begin(5, txn::TxnKind::kShort)->id();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(server.RunShortTxn(1, query::MakeQ1(f_.cells)).ok());
+  }
+  const lock::TxnId b = txns.Begin(5, txn::TxnKind::kShort)->id();
+  ASSERT_GT(b, a + 1);
+  for (lock::TxnId id = a + 1; id < b; ++id) {
+    EXPECT_TRUE(txns.Get(id).status().IsNotFound()) << "txn " << id;
+  }
+}
+
 TEST_F(ServerTest, CheckInAppliesWorkstationChanges) {
   // A check-out FOR UPDATE of a synthetic object; check-in bumps payloads.
   sim::SyntheticParams p;

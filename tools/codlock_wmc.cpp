@@ -3,11 +3,10 @@
 // Enumerates the consistent C++-memory-model executions (schedule choices
 // x reads-from choices) of the litmus harnesses distilled from the
 // src/lock fast path (src/wm/litmus.cc): seqlock summary
-// publish/validate, FpSlot claim CAS, EBR pin/stamp/scan, and the
-// flat-combining mailbox handoff.  Each harness carries the same memory
-// orders — and the same `mutation::WeakenedOrder` toggles — as its
-// production counterpart, so the wm.* order-weakening mutants flip the
-// real knob in both places.
+// publish/validate, FpSlot claim CAS and EBR pin/stamp/scan.  Each
+// harness carries the same memory orders — and the same
+// `mutation::WeakenedOrder` toggles — as its production counterpart, so
+// the wm.* order-weakening mutants flip the real knob in both places.
 //
 // Usage:
 //   codlock_wmc [--harness=<name>|all] [--budget=N]
@@ -21,7 +20,7 @@
 // the litmus suite catches it, 1 when it survives.  --kill-suite runs the
 // clean baseline plus every wm.* mutant against its killing harness; the
 // protocol-decision mutants have their own suite in `codlock_mc
-// --kill-suite`, and CI requires both (11 runtime mutants total).
+// --kill-suite`, and CI requires both (9 runtime mutants total).
 
 #include <cstdint>
 #include <iostream>
