@@ -35,6 +35,11 @@ void NoteHoldersAdded(LockStats& stats, int64_t n) {
 
 void NoteHolderAdded(LockStats& stats) { NoteHoldersAdded(stats, 1); }
 
+/// Source of long-lock change-set consumer tokens; unique across managers,
+/// so a consumer presenting a token to a manager it never reset is
+/// refused.
+wm::Atomic<uint64_t> g_next_consumer_token{1};
+
 /// Modes eligible for the optimistic fast path: the shared modes, which
 /// are mutually compatible in every combination — concurrent fast-path
 /// claims therefore need no ordering among themselves, only against the
@@ -338,14 +343,19 @@ void LockManager::GrantWaiters(Shard& shard, Entry& entry) {
       }
     }
     if (mine != nullptr) {
+      const LockMode before = mine->mode;
       mine->mode = Supremum(mine->mode, w->wanted);
       mine->count++;
       if (w->duration == LockDuration::kLong) {
         mine->duration = LockDuration::kLong;
       }
+      w->long_changed = w->duration == LockDuration::kLong ||
+                        (mine->duration == LockDuration::kLong &&
+                         mine->mode != before);
     } else {
       entry.holders.push_back(Holder{w->txn, w->wanted, 1, w->duration});
       NoteHolderAdded(stats_);
+      w->long_changed = w->duration == LockDuration::kLong;
     }
     w->granted = true;
     // Mutation point (kill-suite only): lose the wakeup — the waiter is
@@ -397,6 +407,38 @@ void LockManager::ForgetHeld(TxnId txn, ResourceId resource) {
   auto& v = it->second;
   v.erase(std::remove(v.begin(), v.end(), resource), v.end());
   if (v.empty()) txn_locks_.erase(it);
+}
+
+std::vector<ResourceId> LockManager::HeldResourcesOf(TxnId txn) const {
+  MutexLock lk(registry_mu_);
+  auto it = txn_locks_.find(txn);
+  return it == txn_locks_.end() ? std::vector<ResourceId>() : it->second;
+}
+
+// ---- Long-lock change set -------------------------------------------------
+
+void LockManager::NoteLongChange(TxnId txn) {
+  MutexLock lk(long_changes_mu_);
+  if (long_consumer_ != 0) long_changed_.insert(txn);
+}
+
+uint64_t LockManager::ResetLongLockChanges() const {
+  MutexLock lk(long_changes_mu_);
+  long_consumer_ = g_next_consumer_token.fetch_add(1, wm::relaxed);
+  long_changed_.clear();
+  return long_consumer_;
+}
+
+bool LockManager::DrainLongLockChanges(uint64_t token,
+                                       std::vector<TxnId>* out) const {
+  {
+    MutexLock lk(long_changes_mu_);
+    if (token == 0 || token != long_consumer_) return false;
+    out->assign(long_changed_.begin(), long_changed_.end());
+    long_changed_.clear();
+  }
+  std::sort(out->begin(), out->end());
+  return true;
 }
 
 // ---- Optimistic compatible-mode fast path --------------------------------
@@ -616,17 +658,20 @@ Status LockManager::AcquireSlow(TxnId txn, ResourceId resource, LockMode mode,
                                 TxnLockCache* cache) {
   Shard& shard = ShardFor(resource);
   bool record_held = false;
+  bool long_changed = false;
   LockMode granted = LockMode::kNL;
   Status status;
   {
     MutexLock lk(shard.mu);
-    status =
-        AcquireLocked(shard, txn, resource, mode, options, record_held,
-                      granted);
+    status = AcquireLocked(shard, txn, resource, mode, options, record_held,
+                           long_changed, granted);
   }
   // Lock order: the registry mutex is only ever taken with no shard held.
   if (status.ok()) {
     if (record_held) RecordHeld(txn, resource);
+    // Also covers a grant handed over by GrantWaiters: the waiter's
+    // request returns through here.
+    if (long_changed) NoteLongChange(txn);
     if (cache != nullptr) {
       cache->Note(resource, granted, options.duration == LockDuration::kLong);
     }
@@ -712,6 +757,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   size_t num_newly_held = 0;
   uint64_t granted_mask = 0;
   uint64_t deferred_mask = 0;
+  bool any_long_changed = false;
   for (uint64_t rest = todo_mask; rest != 0;) {
     const size_t first = static_cast<size_t>(std::countr_zero(rest));
     const uint32_t shard_idx = shard_of[first];
@@ -724,17 +770,19 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       rest &= ~(uint64_t{1} << i);
       Entry& entry = EntryFor(shard, path[i]);
       bool record_held = false;
+      bool long_changed = false;
       LockMode granted = LockMode::kNL;
       bool ok;
       {
         EntryMutation em(entry);
         ok = TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
-                            record_held);
+                            record_held, long_changed);
       }
       if (ok) {
         granted_of[i] = granted;
         granted_mask |= uint64_t{1} << i;
         if (record_held) newly_held[num_newly_held++] = path[i];
+        any_long_changed |= long_changed;
       } else {
         deferred_mask |= uint64_t{1} << i;
       }
@@ -752,6 +800,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
 
   // One registry lock for the whole batch (instead of one per resource).
   RecordHeldBatch(txn, std::span<const ResourceId>(newly_held, num_newly_held));
+  if (any_long_changed) NoteLongChange(txn);
   if (cache != nullptr) {
     for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(scan));
@@ -795,7 +844,9 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
 
 bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
                                  LockMode mode, const AcquireOptions& options,
-                                 LockMode& granted, bool& record_held) {
+                                 LockMode& granted, bool& record_held,
+                                 bool& long_changed) {
+  const bool want_long = options.duration == LockDuration::kLong;
   Holder* mine = nullptr;
   for (Holder& h : entry.holders) {
     if (h.txn == txn) {
@@ -808,9 +859,8 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
   // accounts grants/immediate_grants (batched in AcquirePath).
   if (mine != nullptr && Covers(mine->mode, mode)) {
     mine->count++;
-    if (options.duration == LockDuration::kLong) {
-      mine->duration = LockDuration::kLong;
-    }
+    if (want_long) mine->duration = LockDuration::kLong;
+    long_changed = want_long;
     granted = mine->mode;
     return true;
   }
@@ -831,14 +881,17 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
 
   if (queue_clear && CompatibleWithHolders(shard, entry, txn, target)) {
     if (mine != nullptr) {
+      // A conversion of a long holder changes its long lock even when
+      // the request itself is short.
+      long_changed = want_long || (mine->duration == LockDuration::kLong &&
+                                   mine->mode != target);
       mine->mode = target;
       mine->count++;
-      if (options.duration == LockDuration::kLong) {
-        mine->duration = LockDuration::kLong;
-      }
+      if (want_long) mine->duration = LockDuration::kLong;
     } else {
       entry.holders.push_back(Holder{txn, target, 1, options.duration});
       record_held = true;  // caller bumps the held-locks gauge
+      long_changed = want_long;
     }
     granted = target;
     return true;
@@ -848,7 +901,8 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
                                   LockMode mode, const AcquireOptions& options,
-                                  bool& record_held, LockMode& granted) {
+                                  bool& record_held, bool& long_changed,
+                                  LockMode& granted) {
   Entry& entry = EntryFor(shard, resource);
   std::shared_ptr<WaiterState> waiter;
   LockMode target = mode;
@@ -860,7 +914,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
     // so its wakeup cannot fall between our scan and our park.
     EntryMutation em(entry);
     if (TryGrantLocked(shard, entry, txn, mode, options, granted,
-                       record_held)) {
+                       record_held, long_changed)) {
       stats_.grants.Add();
       stats_.immediate_grants.Add();
       if (record_held) NoteHolderAdded(stats_);
@@ -1012,6 +1066,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
       stats_.grants.Add();
       stats_.wait_ns.Record(waited.ElapsedNanos());
       if (!is_conversion) record_held = true;
+      long_changed = waiter->long_changed;
       granted = target;
       return Status::OK();
     }
@@ -1090,6 +1145,7 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
   }
   Shard& shard = ShardFor(resource);
   bool forget = false;
+  bool long_erased = false;
   Status status = [&]() -> Status {
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, resource);
@@ -1104,6 +1160,7 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       if (--entry.holders[i].count > 0) {
         return Status::OK();
       }
+      long_erased = entry.holders[i].duration == LockDuration::kLong;
       entry.holders.erase(entry.holders.begin() + static_cast<long>(i));
       stats_.held_locks.fetch_sub(1, wm::relaxed);
       GrantWaiters(shard, entry);
@@ -1140,6 +1197,7 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
   }();
   if (forget) {
     ForgetHeld(txn, resource);
+    if (long_erased) NoteLongChange(txn);
     // The hold is gone; no cached mode may survive it.
     if (cache != nullptr) {
       cache->Erase(resource);
@@ -1175,6 +1233,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t released = 0;
+  bool long_erased = false;
   for (size_t i = 0; i < keyed.size();) {
     const uint32_t shard_idx = keyed[i].first;
     Shard& shard = shards_[shard_idx];
@@ -1187,6 +1246,9 @@ size_t LockManager::ReleaseAll(TxnId txn) {
       bool changed = false;
       for (size_t h = 0; h < entry.holders.size(); ++h) {
         if (entry.holders[h].txn != txn) continue;
+        if (entry.holders[h].duration == LockDuration::kLong) {
+          long_erased = true;
+        }
         entry.holders.erase(entry.holders.begin() + static_cast<long>(h));
         ++released;
         changed = true;
@@ -1215,6 +1277,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
                                 wm::relaxed);
     stats_.releases.Add(released);
   }
+  if (long_erased) NoteLongChange(txn);
   ClearWound(txn);
   return released;
 }
@@ -1255,6 +1318,7 @@ size_t LockManager::DrainForShutdown() {
 Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
                               TxnLockCache* cache) {
   Shard& shard = ShardFor(resource);
+  bool long_changed = false;
   Status status = [&]() -> Status {
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, resource);
@@ -1270,6 +1334,7 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
             "cannot downgrade " + std::string(LockModeName(h.mode)) + " to " +
             std::string(LockModeName(mode)));
       }
+      long_changed = h.duration == LockDuration::kLong && h.mode != mode;
       h.mode = mode;
       // The narrower mode may unblock queued waiters.
       GrantWaiters(shard, entry);
@@ -1295,6 +1360,7 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
   }();
+  if (long_changed) NoteLongChange(txn);
   if (status.ok()) {
     // The held mode shrank: a cached (stronger) mode must not survive.
     if (cache != nullptr) {
@@ -1344,12 +1410,7 @@ LockMode LockManager::GroupMode(ResourceId resource) const {
 }
 
 std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
-  std::vector<ResourceId> held;
-  {
-    MutexLock lk(registry_mu_);
-    auto it = txn_locks_.find(txn);
-    if (it != txn_locks_.end()) held = it->second;
-  }
+  const std::vector<ResourceId> held = HeldResourcesOf(txn);
   std::vector<HeldLock> out;
   out.reserve(held.size());
   for (const ResourceId& resource : held) {
@@ -1411,6 +1472,24 @@ std::vector<LongLockRecord> LockManager::SnapshotLongLocks() const {
           }
         }
       }
+    }
+  }
+  return out;
+}
+
+std::vector<LongLockRecord> LockManager::LongLocksOf(TxnId txn) const {
+  std::vector<LongLockRecord> out;
+  for (const ResourceId& resource : HeldResourcesOf(txn)) {
+    Shard& shard = ShardFor(resource);
+    MutexLock lk(shard.mu);
+    Entry* e = FindEntry(shard, resource);
+    if (e == nullptr) continue;
+    for (const Holder& h : e->holders) {
+      if (h.txn != txn) continue;
+      if (h.duration == LockDuration::kLong) {
+        out.push_back(LongLockRecord{txn, resource, h.mode});
+      }
+      break;
     }
   }
   return out;
@@ -1503,6 +1582,7 @@ Status LockManager::RestoreLongLocks(
     }
     if (record_held) RecordHeld(rec.txn, rec.resource);
   }
+  for (const LongLockRecord& rec : records) NoteLongChange(rec.txn);
   return Status::OK();
 }
 

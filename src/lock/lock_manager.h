@@ -270,13 +270,48 @@ class LockManager {
   /// entry is reported once, at the supremum of the two modes.
   std::vector<LongLockRecord> SnapshotAllLocks() const;
 
+  /// Long locks currently held by \p txn, in O(locks of \p txn).  Reports
+  /// exactly what `SnapshotLongLocks` reports for \p txn: vector holders
+  /// of long duration (fast-path grants are always short).
+  std::vector<LongLockRecord> LongLocksOf(TxnId txn) const
+      CODLOCK_EXCLUDES(registry_mu_);
+
   /// Re-installs long locks after a crash.  All-or-nothing: the records
   /// are first validated against the locks currently held (conflicting
   /// short locks of adopted transactions, for example) and nothing is
   /// installed when any record conflicts.  Duplicate records for the same
   /// (txn, resource) merge to the supremum mode.  Intended to run during
   /// recovery quiescence (no concurrent acquires).
-  Status RestoreLongLocks(const std::vector<LongLockRecord>& records);
+  Status RestoreLongLocks(const std::vector<LongLockRecord>& records)
+      CODLOCK_EXCLUDES(registry_mu_, long_changes_mu_);
+
+  // ---- Long-lock change set ------------------------------------------------
+  //
+  // The manager records the ids of transactions whose *long* lock set
+  // changed: a long holder created, converted, downgraded or erased
+  // (long grants in `Acquire`/`AcquirePath` and conversions of a long
+  // holder by a request of either duration — including grants a waiter
+  // receives from `GrantWaiters`, noted when its request returns —
+  // `Release`/`ReleaseAll`/`Downgrade` of a long holder, and
+  // `RestoreLongLocks`).  A transaction is noted only after its change is
+  // visible to `LongLocksOf`, so a consumer that drains the set and then
+  // reads each drained transaction never misses a change that returned
+  // before the drain.  The set has a single consumer (the
+  // `LongLockStore` persisting this manager); short-only transactions
+  // never touch it.
+
+  /// Makes the caller the change set's consumer: clears the set and
+  /// returns a fresh token for `DrainLongLockChanges`.  Any earlier
+  /// token stops draining.  Until the first reset no change is recorded
+  /// (the consumer starts from a full `SnapshotLongLocks` taken *after*
+  /// the reset).
+  uint64_t ResetLongLockChanges() const CODLOCK_EXCLUDES(long_changes_mu_);
+
+  /// Moves the transactions noted since the previous drain into \p out
+  /// (ascending ids).  Returns false, draining nothing, when \p token is
+  /// not the current consumer's (see `ResetLongLockChanges`).
+  bool DrainLongLockChanges(uint64_t token, std::vector<TxnId>* out) const
+      CODLOCK_EXCLUDES(long_changes_mu_);
 
   /// Number of requests currently blocked waiting for a lock.
   size_t NumBlockedWaiters() const {
@@ -313,6 +348,8 @@ class LockManager {
     LockMode wanted = LockMode::kNL;
     bool is_conversion = false;
     bool granted = false;
+    /// Set with `granted`: the grant created or changed a long holder.
+    bool long_changed = false;
     LockDuration duration = LockDuration::kShort;
     wm::Atomic<KillReason> killed{KillReason::kNone};
     CondVar cv;
@@ -490,21 +527,26 @@ class LockManager {
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
   /// queue is clear and all holders are compatible.  On success sets
-  /// \p granted to the mode now held and \p record_held when the caller
-  /// must register the new (txn, resource) pair.  Must run inside an
-  /// EntryMutation window.
+  /// \p granted to the mode now held, \p record_held when the caller
+  /// must register the new (txn, resource) pair and \p long_changed when
+  /// the caller must note a long-lock change (a long request, or a
+  /// conversion of a long holder).  Must run inside an EntryMutation
+  /// window.
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
                       const AcquireOptions& options, LockMode& granted,
-                      bool& record_held) CODLOCK_REQUIRES(shard.mu);
+                      bool& record_held, bool& long_changed)
+      CODLOCK_REQUIRES(shard.mu);
 
   /// Body of `Acquire` once the shard is locked.  Sets \p record_held when
   /// the caller must register a new (txn, resource) pair in the registry
   /// after dropping the shard mutex (lock order: shard before registry),
-  /// and \p granted to the mode held on success (for the caller's cache).
+  /// \p long_changed as `TryGrantLocked` does (also for a grant received
+  /// while waiting) and \p granted to the mode held on success (for the
+  /// caller's cache).
   Status AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
                        LockMode mode, const AcquireOptions& options,
-                       bool& record_held, LockMode& granted)
-      CODLOCK_REQUIRES(shard.mu);
+                       bool& record_held, bool& long_changed,
+                       LockMode& granted) CODLOCK_REQUIRES(shard.mu);
 
   /// Slow path of `Acquire` (shard + registry + cache bookkeeping) after
   /// the fast path missed.
@@ -568,6 +610,14 @@ class LockManager {
       CODLOCK_EXCLUDES(registry_mu_);
   void ForgetHeld(TxnId txn, ResourceId resource)
       CODLOCK_EXCLUDES(registry_mu_);
+  /// Copy of \p txn's registry row (resources it may hold).
+  std::vector<ResourceId> HeldResourcesOf(TxnId txn) const
+      CODLOCK_EXCLUDES(registry_mu_);
+
+  /// Adds \p txn to the long-lock change set (when a consumer exists).
+  /// Call with no shard or registry mutex held, after the change is
+  /// visible to `LongLocksOf`.
+  void NoteLongChange(TxnId txn) CODLOCK_EXCLUDES(long_changes_mu_);
 
   /// Bumps the invalidation epoch of the cache attached for \p txn, if any.
   void InvalidateAttachedCache(TxnId txn) CODLOCK_EXCLUDES(caches_mu_);
@@ -608,6 +658,15 @@ class LockManager {
   mutable Mutex caches_mu_;
   std::unordered_map<TxnId, TxnLockCache*> caches_
       CODLOCK_GUARDED_BY(caches_mu_);
+
+  /// Long-lock change set (see `ResetLongLockChanges`).  A leaf mutex,
+  /// taken only on long-lock paths.  The consumer resets and drains it
+  /// through a const manager (`LongLockStore::Save` takes one), hence
+  /// mutable.
+  mutable Mutex long_changes_mu_;
+  mutable uint64_t long_consumer_ CODLOCK_GUARDED_BY(long_changes_mu_) = 0;
+  mutable std::unordered_set<TxnId> long_changed_
+      CODLOCK_GUARDED_BY(long_changes_mu_);
   /// Mirror of caches_.size(): lets release paths skip caches_mu_ entirely
   /// when no cache is attached anywhere.
   wm::Atomic<size_t> cache_count_{0};

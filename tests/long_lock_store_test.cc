@@ -1,14 +1,19 @@
 /// Tests for the crash-consistent `LongLockStore`: framed-generation
-/// persistence, torn-write salvage at every byte offset, corruption
-/// recovery, Status propagation from Save/LoadFromFile, and the store
-/// fault points (open-temp, write-frame, sync, rename, after-rename).
+/// persistence (image + delta log), torn-write salvage at every byte
+/// offset, corruption recovery, Status propagation from Save/LoadFromFile,
+/// the store fault points on the image path (open-temp, write-frame, sync,
+/// rename, after-rename) and the append path (write-frame, sync), O(change)
+/// saves, concurrent saves, and the lock manager's long-lock change set.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -55,14 +60,19 @@ class LongLockStoreTest : public ::testing::Test {
   }
 
   /// Builds a store file holding generations 1 and 2 (3 records total)
-  /// and returns its bytes.
-  std::string SeedTwoGenerations() {
+  /// and returns its bytes.  With \p reload_between the second save is
+  /// the first after a load, so the file holds two images; without it
+  /// the second save appends a delta behind the first image.
+  std::string SeedTwoGenerations(bool reload_between = true) {
     LockManager lm;
     LongLockStore store;
     store.SetBackingFile(path_);
     EXPECT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
     EXPECT_TRUE(lm.Acquire(1, {2, 7}, LockMode::kS, LongOpts()).ok());
     EXPECT_TRUE(store.Save(lm).ok());  // generation 1
+    if (reload_between) {
+      EXPECT_TRUE(store.LoadFromFile(path_).ok());
+    }
     EXPECT_TRUE(lm.Acquire(2, {3, 9}, LockMode::kIX, LongOpts()).ok());
     EXPECT_TRUE(store.Save(lm).ok());  // generation 2
     return ReadFile(path_);
@@ -289,6 +299,9 @@ TEST_P(SaveFaultTest, FailedSaveIsReportedAndRecoverable) {
   store.SetBackingFile(path_);
   ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
   ASSERT_TRUE(store.Save(lm).ok());  // generation 1, durable
+  // The first save after a load writes an image (temp + rename), so the
+  // generation-2 attempt below runs through every image-path point.
+  ASSERT_TRUE(store.LoadFromFile(path_).ok());
 
   fault::FaultSpec spec;
   spec.kind = c.kind;
@@ -333,6 +346,526 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- Append path -------------------------------------------------------
+
+using RecordKey = std::tuple<TxnId, uint32_t, uint64_t, int>;
+
+/// Order-insensitive view of a record list.
+std::vector<RecordKey> Keys(const std::vector<LongLockRecord>& records) {
+  std::vector<RecordKey> keys;
+  for (const LongLockRecord& r : records) {
+    keys.emplace_back(r.txn, r.resource.node, r.resource.instance,
+                      static_cast<int>(r.mode));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+using EpochKey = std::tuple<uint32_t, uint64_t, uint64_t>;
+
+std::vector<EpochKey> Keys(const std::vector<FenceEpochRecord>& epochs) {
+  std::vector<EpochKey> keys;
+  for (const FenceEpochRecord& e : epochs) {
+    keys.emplace_back(e.root.node, e.root.instance, e.epoch);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Takes \p n long locks for \p txn on node \p node.
+void HoldLong(LockManager& lm, TxnId txn, uint32_t node, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(lm.Acquire(txn, {node, i}, LockMode::kX, LongOpts()).ok());
+  }
+}
+
+TEST_F(LongLockStoreTest, TwoGenerationSeedHoldsTwoImages) {
+  const std::string bytes = SeedTwoGenerations();
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(probe.last_load().deltas, 0u);
+  const size_t first = 4 + 8 + 4 + 4 + 2 * 21 + 4;
+  const size_t second = 4 + 8 + 4 + 4 + 3 * 21 + 4;
+  EXPECT_EQ(bytes.size(), first + second);
+  EXPECT_EQ(bytes.substr(first, 4), "CGN2");
+}
+
+TEST_F(LongLockStoreTest, SecondSaveAppendsADeltaBehindTheImage) {
+  const std::string bytes = SeedTwoGenerations(/*reload_between=*/false);
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(probe.last_load().deltas, 1u);
+  // Image of generation 1 (2 records), then one delta naming txn 2's
+  // single record — not a second image.
+  const size_t image = 4 + 8 + 4 + 4 + 2 * 21 + 4;
+  const size_t delta = 4 + 8 + 4 + 4 + (8 + 4 + 13) + 4;
+  EXPECT_EQ(bytes.size(), image + delta);
+  EXPECT_EQ(bytes.substr(image, 4), "CGD1");
+}
+
+TEST_F(LongLockStoreTest, SaveAgainstAnotherManagerReplacesTheState) {
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  LockManager first;
+  HoldLong(first, 1, 1, 3);
+  ASSERT_TRUE(store.Save(first).ok());
+  EXPECT_EQ(store.size(), 3u);
+
+  // A different manager (a restart without Restore, say): the store
+  // mirrors it, not a merge of both.
+  LockManager second;
+  HoldLong(second, 2, 2, 1);
+  ASSERT_TRUE(store.Save(second).ok());
+  EXPECT_EQ(Keys(store.records()),
+            Keys({{2, {2, 0}, LockMode::kX}}));
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(Keys(probe.records()), Keys(store.records()));
+
+  // Back to the first manager: it rebinds again.
+  ASSERT_TRUE(store.Save(first).ok());
+  EXPECT_EQ(store.size(), 3u);
+}
+
+TEST_F(LongLockStoreTest, DeltaLogCompactsIntoAnImage) {
+  LockManager lm;
+  HoldLong(lm, 1, 1, 20);  // standing check-out
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  ASSERT_TRUE(store.Save(lm).ok());
+  const size_t image = 4 + 8 + 4 + 4 + 20 * 21 + 4;
+
+  size_t max_size = 0;
+  for (TxnId txn = 2; txn < 60; ++txn) {
+    HoldLong(lm, txn, 2, 3);  // check-out
+    ASSERT_TRUE(store.Save(lm).ok());
+    max_size = std::max<size_t>(max_size, std::filesystem::file_size(path_));
+    lm.ReleaseAll(txn);  // check-in
+    ASSERT_TRUE(store.Save(lm).ok());
+    max_size = std::max<size_t>(max_size, std::filesystem::file_size(path_));
+  }
+  // Two images (previous + current, at most 3 records apart), each
+  // followed by a delta log no longer than one image.
+  EXPECT_LE(max_size, 4 * (image + 3 * 21));
+
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(probe.generation(), store.generation());
+  EXPECT_EQ(Keys(probe.records()), Keys(lm.SnapshotLongLocks()));
+  EXPECT_FALSE(probe.last_load().salvaged);
+}
+
+// A compaction keeps the previous image's delta log ahead of the new
+// image, so a torn or corrupted newest image falls back to the generation
+// just before it — grants and epoch bumps saved since the previous image
+// included — not to the previous image alone.
+TEST_F(LongLockStoreTest, DamagedCompactedImageFallsBackOneGeneration) {
+  LockManager lm;
+  HoldLong(lm, 1, 1, 10);  // standing check-out: a few deltas per image
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  std::vector<std::vector<RecordKey>> records(1);
+  std::vector<std::vector<EpochKey>> epochs(1);
+  auto save = [&] {
+    EXPECT_TRUE(store.Save(lm).ok());
+    records.push_back(Keys(store.records()));
+    epochs.push_back(Keys(store.FenceEpochs()));
+    LongLockStore probe;
+    EXPECT_TRUE(probe.LoadFromFile(path_).ok());
+    return probe.last_load().deltas == 0;  // the file ends in an image
+  };
+  save();  // generation 1: image
+  bool compacted = false;
+  for (TxnId txn = 2; !compacted; ++txn) {
+    ASSERT_LT(txn, 50u) << "no compaction";
+    HoldLong(lm, txn, 2, 2);  // check-out
+    compacted = save();
+    if (compacted) break;
+    store.BumpFenceEpoch({2, 0});  // lease reclaim, then check-in
+    lm.ReleaseAll(txn);
+    compacted = save();
+  }
+  const uint64_t newest = store.generation();
+  const size_t image = 4 + 8 + 4 + 4 + store.size() * 21 +
+                       store.FenceEpochs().size() * 20 + 4;
+  const std::string bytes = ReadFile(path_);
+  ASSERT_GT(bytes.size(), image);
+  const size_t image_at = bytes.size() - image;
+  ASSERT_EQ(bytes.substr(image_at, 4), "CGN2");
+
+  const std::string cut = (dir_ / "cut.bin").string();
+  auto expect_previous = [&](const std::string& damaged,
+                             const std::string& where) {
+    WriteFile(cut, damaged);
+    LongLockStore probe;
+    ASSERT_TRUE(probe.LoadFromFile(cut).ok()) << where;
+    ASSERT_EQ(probe.generation(), newest - 1) << where;
+    EXPECT_GE(probe.last_load().deltas, 2u) << where;
+    EXPECT_EQ(Keys(probe.records()), records[newest - 1]) << where;
+    EXPECT_EQ(Keys(probe.FenceEpochs()), epochs[newest - 1]) << where;
+  };
+  for (size_t len = image_at; len < bytes.size(); ++len) {
+    expect_previous(bytes.substr(0, len), "truncated at " + std::to_string(len));
+  }
+  for (size_t at = image_at; at < bytes.size(); ++at) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    expect_previous(flipped, "flipped at " + std::to_string(at));
+  }
+}
+
+// One check-out's save costs the same bytes whatever the standing set:
+// the write path never scans the lock table or rewrites its image.
+TEST_F(LongLockStoreTest, CheckOutSaveBytesAreFlatInStandingLocks) {
+  std::vector<uintmax_t> appended;
+  for (size_t standing : {size_t{0}, size_t{1000}, size_t{10000}}) {
+    std::filesystem::remove(path_);
+    LockManager lm;
+    for (size_t i = 0; i < standing; ++i) {
+      ASSERT_TRUE(lm.Acquire(1 + i / 10, {1, i}, LockMode::kX, LongOpts())
+                      .ok());
+    }
+    LongLockStore store;
+    store.SetBackingFile(path_);
+    ASSERT_TRUE(store.Save(lm).ok());  // binds: the standing image
+    const uintmax_t before = std::filesystem::file_size(path_);
+
+    const TxnId txn = 1'000'000;
+    const ResourceId path[] = {{2, 0}, {3, 1}, {4, 1}, {5, 1}};
+    ASSERT_TRUE(lm.AcquirePath(txn, path, LockMode::kX, LongOpts()).ok());
+    ASSERT_TRUE(store.Save(lm).ok());
+    appended.push_back(std::filesystem::file_size(path_) - before);
+
+    LongLockStore probe;
+    ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+    EXPECT_EQ(probe.size(), standing + 4) << standing;
+  }
+  EXPECT_EQ(appended[0], 4u + 8 + 4 + 4 + (8 + 4 + 4 * 13) + 4);
+  EXPECT_EQ(appended[1], appended[0]);
+  EXPECT_EQ(appended[2], appended[0]);
+}
+
+TEST_F(LongLockStoreTest, ConcurrentSavesNeverDropADurableLock) {
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 200; ++round) {
+    LockManager lm;
+    LongLockStore store;
+    store.SetBackingFile(path_);
+    std::vector<std::thread> threads;
+    std::vector<int> failed(kThreads, 0);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const TxnId txn = static_cast<TxnId>(t + 1);
+        const ResourceId res{static_cast<uint32_t>(t + 1),
+                             static_cast<uint64_t>(round)};
+        failed[t] = !lm.Acquire(txn, res, LockMode::kX, LongOpts()).ok() ||
+                    !store.Save(lm).ok();
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_EQ(std::count(failed.begin(), failed.end(), 1), 0);
+
+    LongLockStore probe;
+    ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+    ASSERT_EQ(probe.size(), static_cast<size_t>(kThreads))
+        << "round " << round << ": a lock whose Save returned OK is gone";
+    ASSERT_EQ(probe.generation(), static_cast<uint64_t>(kThreads));
+  }
+}
+
+/// A store file of one image and three deltas (one of them carrying a
+/// fence-epoch bump), plus the state after every generation and the
+/// offset at which each block ends.
+struct DeltaLogFixture {
+  std::string bytes;
+  std::vector<std::vector<RecordKey>> records;  ///< by generation
+  std::vector<std::vector<EpochKey>> epochs;    ///< by generation
+  std::vector<size_t> block_end;                ///< by generation (1-based)
+};
+
+DeltaLogFixture BuildDeltaLog(const std::string& path) {
+  DeltaLogFixture fx;
+  fx.records.emplace_back();
+  fx.epochs.emplace_back();
+  fx.block_end.push_back(0);
+  LockManager lm;
+  LongLockStore store;
+  store.SetBackingFile(path);
+  auto save = [&] {
+    EXPECT_TRUE(store.Save(lm).ok());
+    fx.records.push_back(Keys(store.records()));
+    fx.epochs.push_back(Keys(store.FenceEpochs()));
+    fx.block_end.push_back(std::filesystem::file_size(path));
+  };
+  HoldLong(lm, 1, 1, 12);  // standing: keeps the deltas below one image
+  HoldLong(lm, 2, 2, 2);
+  save();                  // generation 1: image
+  HoldLong(lm, 3, 3, 2);
+  save();                  // generation 2: check-out
+  store.BumpFenceEpoch({2, 0});
+  lm.ReleaseAll(2);
+  save();                  // generation 3: reclaim + epoch bump
+  EXPECT_TRUE(lm.Downgrade(3, {3, 1}, LockMode::kS).ok());
+  EXPECT_TRUE(lm.Release(3, {3, 0}).ok());
+  save();                  // generation 4: downgrade + partial release
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  fx.bytes = buf.str();
+  return fx;
+}
+
+TEST_F(LongLockStoreTest, DeltaLogTruncationAndByteFlipRecoverWholeGenerations) {
+  const DeltaLogFixture fx = BuildDeltaLog(path_);
+  ASSERT_EQ(fx.block_end.size(), 5u);
+  ASSERT_EQ(fx.block_end[4], fx.bytes.size());
+  {
+    LongLockStore full;
+    ASSERT_TRUE(full.LoadFromFile(path_).ok());
+    ASSERT_EQ(full.last_load().deltas, 3u);
+    ASSERT_EQ(full.generation(), 4u);
+  }
+  // The epoch bump is only in the generation-3 delta.
+  ASSERT_TRUE(fx.epochs[2].empty());
+  ASSERT_EQ(fx.epochs[3], (std::vector<EpochKey>{{2, 0, 1}}));
+
+  const std::string cut = (dir_ / "cut.bin").string();
+  auto expect_generation = [&](const std::string& bytes, uint64_t want,
+                               const std::string& where) {
+    WriteFile(cut, bytes);
+    LongLockStore probe;
+    ASSERT_TRUE(probe.LoadFromFile(cut).ok()) << where;
+    ASSERT_EQ(probe.generation(), want) << where;
+    EXPECT_EQ(Keys(probe.records()), fx.records[want]) << where;
+    EXPECT_EQ(Keys(probe.FenceEpochs()), fx.epochs[want]) << where;
+  };
+
+  // Truncation at every offset recovers exactly the blocks that are whole.
+  for (size_t len = 0; len <= fx.bytes.size(); ++len) {
+    uint64_t want = 0;
+    while (want < 4 && fx.block_end[want + 1] <= len) ++want;
+    expect_generation(fx.bytes.substr(0, len), want,
+                      "truncated at " + std::to_string(len));
+  }
+  // A flipped byte invalidates its block and everything behind it: no
+  // delta is ever applied after a corrupt one.
+  for (size_t at = 0; at < fx.bytes.size(); ++at) {
+    uint64_t block = 1;
+    while (fx.block_end[block] <= at) ++block;
+    std::string flipped = fx.bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    expect_generation(flipped, block - 1, "flipped at " + std::to_string(at));
+  }
+}
+
+TEST_F(LongLockStoreTest, OutOfSequenceDeltaEndsTheReplay) {
+  const DeltaLogFixture fx = BuildDeltaLog(path_);
+  // Drop the generation-3 delta: generation 4 no longer follows 2.
+  const std::string bytes = fx.bytes.substr(0, fx.block_end[2]) +
+                            fx.bytes.substr(fx.block_end[3]);
+  WriteFile(path_, bytes);
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(probe.generation(), 2u);
+  EXPECT_EQ(Keys(probe.records()), fx.records[2]);
+  EXPECT_TRUE(probe.last_load().salvaged);
+}
+
+struct AppendFaultCase {
+  const char* point;
+  fault::FaultKind kind;
+  /// Generation a post-fault load recovers: 1 = the torn delta is
+  /// dropped, 2 = the delta was whole before the flush failed.
+  uint64_t expect_generation;
+};
+
+class AppendFaultTest : public LongLockStoreTest,
+                        public ::testing::WithParamInterface<AppendFaultCase> {
+};
+
+TEST_P(AppendFaultTest, FailedAppendIsReportedRecoverableAndCompacted) {
+  const AppendFaultCase& c = GetParam();
+  LockManager lm;
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  HoldLong(lm, 1, 1, 4);
+  ASSERT_TRUE(store.Save(lm).ok());  // generation 1: image
+
+  fault::FaultSpec spec;
+  spec.kind = c.kind;
+  spec.trigger = fault::Trigger::Once();
+  fault::ScopedFault f(c.point, spec);
+  ASSERT_TRUE(f.valid()) << c.point;
+
+  HoldLong(lm, 2, 2, 1);
+  Status saved = store.Save(lm);  // generation 2: the append dies
+  EXPECT_FALSE(saved.ok()) << c.point;
+  EXPECT_TRUE(fault::IsInjectedCrash(saved)) << saved.ToString();
+
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok()) << c.point;
+  EXPECT_EQ(probe.generation(), c.expect_generation) << c.point;
+  EXPECT_EQ(probe.size(), c.expect_generation == 1 ? 4u : 5u) << c.point;
+
+  // The next save must not append behind the torn bytes: it writes a
+  // fresh image, and the file loads clean.
+  HoldLong(lm, 3, 3, 1);
+  ASSERT_TRUE(store.Save(lm).ok());
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_EQ(probe.generation(), 3u);
+  EXPECT_EQ(probe.size(), 6u);
+  EXPECT_EQ(probe.last_load().deltas, 0u);
+  EXPECT_FALSE(probe.last_load().salvaged);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppendPoints, AppendFaultTest,
+    ::testing::Values(
+        AppendFaultCase{"store/write-frame", fault::FaultKind::kTornWrite, 1},
+        AppendFaultCase{"store/sync", fault::FaultKind::kCrash, 2}),
+    [](const ::testing::TestParamInfo<AppendFaultCase>& param_info) {
+      std::string name = param_info.param.point;
+      for (char& ch : name) {
+        if (ch == '/' || ch == '-') ch = '_';
+      }
+      return name;
+    });
+
+// --- The lock manager's long-lock change set ----------------------------
+
+TEST(LongLockChangeSetTest, RecordsNothingUntilAConsumerResets) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
+  std::vector<TxnId> changed;
+  EXPECT_FALSE(lm.DrainLongLockChanges(0, &changed));
+  const uint64_t token = lm.ResetLongLockChanges();
+  ASSERT_TRUE(lm.DrainLongLockChanges(token, &changed));
+  EXPECT_TRUE(changed.empty());
+}
+
+TEST(LongLockChangeSetTest, NotesLongChangesOnly) {
+  LockManager lm;
+  const uint64_t token = lm.ResetLongLockChanges();
+  auto drain = [&] {
+    std::vector<TxnId> changed;
+    EXPECT_TRUE(lm.DrainLongLockChanges(token, &changed));
+    return changed;
+  };
+
+  // Short grants, releases and EOT never touch the set.
+  ASSERT_TRUE(lm.Acquire(9, {1, 1}, LockMode::kS).ok());
+  const ResourceId short_path[] = {{2, 0}, {3, 1}};
+  ASSERT_TRUE(lm.AcquirePath(9, short_path, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Release(9, {1, 1}).ok());
+  lm.ReleaseAll(9);
+  EXPECT_TRUE(drain().empty());
+
+  ASSERT_TRUE(lm.Acquire(2, {1, 1}, LockMode::kX, LongOpts()).ok());
+  const ResourceId long_path[] = {{2, 0}, {3, 2}};
+  ASSERT_TRUE(lm.AcquirePath(1, long_path, LockMode::kX, LongOpts()).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{1, 2}));
+  EXPECT_TRUE(drain().empty());  // drained
+
+  ASSERT_TRUE(lm.Downgrade(1, {3, 2}, LockMode::kS).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{1}));
+  ASSERT_TRUE(lm.Release(2, {1, 1}).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{2}));
+  lm.ReleaseAll(1);
+  EXPECT_EQ(drain(), (std::vector<TxnId>{1}));
+
+  ASSERT_TRUE(lm.RestoreLongLocks({{7, {5, 5}, LockMode::kX}}).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{7}));
+}
+
+TEST(LongLockChangeSetTest, GrantedLongWaiterIsNoted) {
+  LockManager lm;
+  const uint64_t token = lm.ResetLongLockChanges();
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX).ok());  // short blocker
+  std::thread waiter([&] {
+    EXPECT_TRUE(lm.Acquire(2, {1, 1}, LockMode::kX, LongOpts()).ok());
+  });
+  while (lm.NumBlockedWaiters() == 0) std::this_thread::yield();
+  lm.ReleaseAll(1);
+  waiter.join();
+  std::vector<TxnId> changed;
+  ASSERT_TRUE(lm.DrainLongLockChanges(token, &changed));
+  EXPECT_EQ(changed, (std::vector<TxnId>{2}));
+  EXPECT_EQ(Keys(lm.LongLocksOf(2)), Keys({{2, {1, 1}, LockMode::kX}}));
+}
+
+// A short request that converts a long holder raises the mode of a long
+// lock, so it is a long-lock change like any long grant.
+TEST(LongLockChangeSetTest, ShortConversionOfALongHolderIsNoted) {
+  LockManager lm;
+  const uint64_t token = lm.ResetLongLockChanges();
+  auto drain = [&] {
+    std::vector<TxnId> changed;
+    EXPECT_TRUE(lm.DrainLongLockChanges(token, &changed));
+    return changed;
+  };
+
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kIS, LongOpts()).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{1}));
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX).ok());  // immediate
+  EXPECT_EQ(drain(), (std::vector<TxnId>{1}));
+  EXPECT_EQ(Keys(lm.LongLocksOf(1)), Keys({{1, {1, 1}, LockMode::kX}}));
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kS).ok());  // covered
+  EXPECT_TRUE(drain().empty());
+
+  // AcquirePath: the short X leaf's IX prefix converts a long IS.
+  ASSERT_TRUE(lm.Acquire(2, {2, 0}, LockMode::kIS, LongOpts()).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{2}));
+  const ResourceId path[] = {{2, 0}, {3, 1}};
+  ASSERT_TRUE(lm.AcquirePath(2, path, LockMode::kX).ok());
+  EXPECT_EQ(drain(), (std::vector<TxnId>{2}));
+  EXPECT_EQ(Keys(lm.LongLocksOf(2)), Keys({{2, {2, 0}, LockMode::kIX}}));
+
+  // A conversion granted by GrantWaiters after a wait.
+  ASSERT_TRUE(lm.Acquire(3, {4, 4}, LockMode::kIS, LongOpts()).ok());
+  ASSERT_TRUE(lm.Acquire(4, {4, 4}, LockMode::kIS).ok());  // short blocker
+  EXPECT_EQ(drain(), (std::vector<TxnId>{3}));
+  std::thread waiter([&] {
+    EXPECT_TRUE(lm.Acquire(3, {4, 4}, LockMode::kX).ok());
+  });
+  while (lm.NumBlockedWaiters() == 0) std::this_thread::yield();
+  lm.ReleaseAll(4);
+  waiter.join();
+  EXPECT_EQ(drain(), (std::vector<TxnId>{3}));
+  EXPECT_EQ(Keys(lm.LongLocksOf(3)), Keys({{3, {4, 4}, LockMode::kX}}));
+}
+
+TEST(LongLockChangeSetTest, ANewConsumerRetiresTheOldToken) {
+  LockManager lm;
+  const uint64_t first = lm.ResetLongLockChanges();
+  const uint64_t second = lm.ResetLongLockChanges();
+  EXPECT_NE(first, second);
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
+  std::vector<TxnId> changed;
+  EXPECT_FALSE(lm.DrainLongLockChanges(first, &changed));
+  EXPECT_TRUE(changed.empty());
+  ASSERT_TRUE(lm.DrainLongLockChanges(second, &changed));
+  EXPECT_EQ(changed, (std::vector<TxnId>{1}));
+  // Tokens are unique across managers too.
+  LockManager other;
+  EXPECT_FALSE(other.DrainLongLockChanges(second, &changed));
+}
+
+TEST(LongLockChangeSetTest, LongLocksOfMatchesTheSnapshot) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
+  ASSERT_TRUE(lm.Acquire(1, {1, 2}, LockMode::kS).ok());  // short: omitted
+  ASSERT_TRUE(lm.Acquire(1, {1, 3}, LockMode::kIS).ok());
+  ASSERT_TRUE(lm.Acquire(1, {1, 3}, LockMode::kIX, LongOpts()).ok());
+  ASSERT_TRUE(lm.Acquire(2, {1, 4}, LockMode::kS, LongOpts()).ok());
+  std::vector<LongLockRecord> mine;
+  for (const LongLockRecord& r : lm.SnapshotLongLocks()) {
+    if (r.txn == 1) mine.push_back(r);
+  }
+  EXPECT_EQ(Keys(lm.LongLocksOf(1)), Keys(mine));
+  EXPECT_EQ(lm.LongLocksOf(1).size(), 2u);
+  EXPECT_TRUE(lm.LongLocksOf(3).empty());
+}
 
 }  // namespace
 }  // namespace codlock::lock

@@ -2,8 +2,10 @@
 //
 // For each fault point linked into the binary (fault/fault_injector.h) the
 // sweep builds a fresh workstation–server stack with a file-backed long
-// lock store, establishes a baseline check-out, arms the point with its
-// declared worst plausible failure (Trigger::Once), drives check-out /
+// lock store, establishes a baseline check-out, restarts once (so the
+// store's next save is an image and later ones are delta appends), arms
+// the point with its declared worst plausible failure (Trigger::Once),
+// drives check-out /
 // conflicting check-out / check-in traffic through it, then simulates the
 // restart (`Server::CrashAndRestart`) and asserts:
 //
@@ -17,9 +19,17 @@
 //     fresh check-out of the same data succeeds.
 //
 // The separate `truncate` mode is the torn-write sweep: it persists two
-// generations, then truncates the store file at *every* byte offset and
-// asserts that loading never fails and always recovers a complete
-// generation (the newest intact one, or the empty generation 0).
+// generations as two images, then truncates the store file at *every*
+// byte offset and asserts that loading never fails and always recovers a
+// complete generation (the newest intact one, or the empty generation
+// 0).  Its
+// log-tail leg builds a server store file of one image plus a delta log
+// (check-out, check-in, a lease reclaim with its fencing-epoch bump, a
+// re-grant), truncates the log at every offset and flips every byte of
+// it: each load must succeed with a generation between the image's and
+// the last, and each restart over the mutated file must converge (image
+// check-outs keep their locks, no waiter or orphan lock, clean audit, no
+// epoch regression, the reclaimed ticket stays refused).
 //
 // The `leases` mode crash-injects the lease subsystem's own fault points
 // (`ws.lease.expire`, `ws.lease.reclaim`, `ws.checkin.fenced`): an
@@ -129,6 +139,12 @@ PointResult SweepOne(fault::FaultPoint* point, const std::string& dir) {
       server.CheckOut(1, query::MakeQ2(f.cells));
   if (!baseline.ok()) {
     return fail("baseline check-out failed: " + baseline.status().ToString());
+  }
+  // A clean restart first: the store's first save after a load writes an
+  // image (temp + rename), so the victim traffic below crosses the image
+  // path (its first save) as well as the delta-append path (the rest).
+  if (Status s = server.CrashAndRestart(); !s.ok()) {
+    return fail("pre-fault restart failed: " + s.ToString());
   }
 
   // Arm the worst plausible failure of this point, exactly once.
@@ -727,7 +743,7 @@ struct TruncateResult {
   std::string detail;
 };
 
-/// Truncates the two-generation store file at every byte offset and
+/// Truncates the two-image store file at every byte offset and
 /// asserts the load always recovers a complete generation.
 TruncateResult TruncateSweep(const std::string& dir) {
   TruncateResult res;
@@ -743,6 +759,9 @@ TruncateResult TruncateSweep(const std::string& dir) {
   lm.Acquire(1, {1, 1}, lock::LockMode::kX, long_opts);
   lm.Acquire(1, {2, 7}, lock::LockMode::kS, long_opts);
   Status s1 = store.Save(lm);  // generation 1
+  // The first save after a load writes an image: the file then holds two
+  // images, the newest behind the previous one.
+  if (s1.ok()) s1 = store.LoadFromFile(path);
   lm.Acquire(2, {3, 9}, lock::LockMode::kX, long_opts);
   Status s2 = store.Save(lm);  // generation 2
   if (!s1.ok() || !s2.ok()) {
@@ -812,6 +831,194 @@ TruncateResult TruncateSweep(const std::string& dir) {
   return res;
 }
 
+struct TailResult {
+  size_t deltas = 0;        ///< delta blocks behind the image
+  size_t tail_bytes = 0;    ///< bytes swept (the delta log)
+  size_t truncations = 0;   ///< truncation points exercised
+  size_t flips = 0;         ///< single-byte flips exercised
+  size_t failed_loads = 0;  ///< loads that failed or went past the log
+  size_t recovered_newest = 0;  ///< the whole log replayed
+  size_t recovered_prefix = 0;  ///< a shorter prefix of the log replayed
+  size_t converged = 0;     ///< restarts that passed every assert
+  bool passed = false;
+  std::string detail;
+};
+
+/// Exclusive check-out of one cell's local objects (key "c1", "c2", ...).
+query::Query CellObjectsQuery(const sim::CellsFixture& f,
+                              const std::string& key) {
+  query::Query q = LeaseCellQuery(f);
+  q.name = "tail-sweep-" + key;
+  q.object_key = key;
+  return q;
+}
+
+/// Restarts \p server over its (mutated) store file and checks the
+/// post-restart invariants: the check-outs in the image keep their locks
+/// (a cut log may lose later ones — they are adopted without locks), no
+/// waiter and no orphan lock remains, the grant set audits clean, no
+/// fencing epoch falls below \p durable_epochs, and the reclaimed
+/// ticket's check-in stays fenced.  Returns the first violation.
+std::string RestartConverges(
+    ws::Server& server, const sim::CellsFixture& f,
+    const std::vector<ws::CheckOutTicket>& standing,
+    const ws::CheckOutTicket& zombie,
+    const std::map<std::string, uint64_t>& durable_epochs) {
+  Status restarted = server.CrashAndRestart();
+  if (!restarted.ok()) return "CrashAndRestart failed: " + restarted.ToString();
+  for (const ws::CheckOutTicket& t : standing) {
+    if (server.lock_manager().LocksOf(t.txn).empty()) {
+      return "standing check-out lost its long locks";
+    }
+  }
+  if (server.lock_manager().NumBlockedWaiters() != 0) {
+    return "blocked waiters survived recovery";
+  }
+  for (const lock::LongLockRecord& rec :
+       server.lock_manager().SnapshotAllLocks()) {
+    if (!server.txn_manager().Get(rec.txn).ok()) {
+      return "orphan lock owned by dead txn " + std::to_string(rec.txn);
+    }
+  }
+  proto::ProtocolValidator validator(&server.graph(), f.store.get());
+  std::vector<proto::Violation> violations =
+      validator.Check(server.lock_manager());
+  if (!violations.empty()) return "validator: " + violations.front().ToString();
+  for (const lock::FenceEpochRecord& rec :
+       server.stable_storage().FenceEpochs()) {
+    auto it = durable_epochs.find(rec.root.ToString());
+    if (it != durable_epochs.end() && rec.epoch < it->second) {
+      return "fence epoch of " + rec.root.ToString() + " regressed";
+    }
+  }
+  if (server.CheckIn(zombie).ok()) {
+    return "reclaimed ticket checked in after restart";
+  }
+  return "";
+}
+
+/// Log-tail sweep: builds a server store file holding an image plus a
+/// delta log (check-out, check-in, a lease reclaim with its epoch bump,
+/// a re-grant), then truncates the log at every offset and flips every
+/// byte of it.  Every load must succeed and recover a generation between
+/// the image's and the last; every restart over the mutated file must
+/// converge (see `RestartConverges`).
+TailResult TailSweep(const std::string& dir) {
+  TailResult res;
+  auto fail = [&res](const std::string& why) {
+    res.detail = why;
+    return res;
+  };
+  sim::CellsFixture f = sim::BuildCellsEffectors();
+  ws::Server::Options opts;
+  opts.protocol.timeout_ms = 100;
+  opts.lock_manager.default_timeout_ms = 200;
+  opts.lease.duration_ms = 1000;
+  opts.lease.grace_ms = 500;
+  opts.storage_path = dir + "/tail.locks";
+  std::filesystem::remove(opts.storage_path);
+  std::filesystem::remove(opts.storage_path + ".tmp");
+  ws::Server server(f.catalog.get(), f.store.get(), opts);
+  const std::string& path = opts.storage_path;
+
+  std::vector<ws::CheckOutTicket> standing;
+  for (const char* key : {"c2", "c3", "c4"}) {
+    Result<ws::CheckOutTicket> t =
+        server.CheckOut(10, CellObjectsQuery(f, key));
+    if (!t.ok()) return fail("standing check-out: " + t.status().ToString());
+    standing.push_back(*t);
+  }
+  // The first save after a load writes an image; the log follows it.
+  Status restarted = server.CrashAndRestart();
+  if (!restarted.ok()) return fail("restart: " + restarted.ToString());
+  Result<ws::CheckOutTicket> reader =
+      server.CheckOut(11, CellObjectsQuery(f, "c1"), ws::CheckOutMode::kShared);
+  if (!reader.ok()) return fail("check-out: " + reader.status().ToString());
+  const uint64_t image_generation = server.stable_storage().generation();
+  const size_t image_end = std::filesystem::file_size(path);
+
+  Status in = server.CheckIn(*reader);
+  if (!in.ok()) return fail("check-in: " + in.ToString());
+  Result<ws::CheckOutTicket> zombie = server.CheckOut(
+      12, CellObjectsQuery(f, "c1"), ws::CheckOutMode::kExclusive);
+  if (!zombie.ok()) return fail("check-out: " + zombie.status().ToString());
+  // Let the exclusive lease (only) run out and reclaim it.
+  server.clock().AdvanceMs(opts.lease.duration_ms);
+  for (const ws::CheckOutTicket& t : standing) server.RenewLease(t);
+  server.clock().AdvanceMs(opts.lease.grace_ms + 1);
+  if (server.SweepExpiredLeases() != 1) return fail("reclaim did not run");
+  Result<ws::CheckOutTicket> regrant = server.CheckOut(
+      13, CellObjectsQuery(f, "c1"), ws::CheckOutMode::kExclusive);
+  if (!regrant.ok()) return fail("re-grant: " + regrant.status().ToString());
+
+  const uint64_t last_generation = server.stable_storage().generation();
+  std::map<std::string, uint64_t> durable_epochs;
+  for (const lock::FenceEpochRecord& rec :
+       server.stable_storage().FenceEpochs()) {
+    durable_epochs[rec.root.ToString()] = rec.epoch;
+  }
+  if (durable_epochs.empty()) return fail("reclaim bumped no fencing epoch");
+
+  std::ifstream stream(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << stream.rdbuf();
+  const std::string image = buf.str();
+  {
+    lock::LongLockStore probe;
+    if (!probe.LoadFromFile(path).ok()) return fail("seed file does not load");
+    res.deltas = probe.last_load().deltas;
+  }
+  if (res.deltas < 3 || res.deltas != last_generation - image_generation ||
+      image_end >= image.size()) {
+    return fail("expected an image plus >= 3 deltas, got " +
+                std::to_string(res.deltas) + " deltas");
+  }
+  res.tail_bytes = image.size() - image_end;
+
+  auto check = [&](const std::string& bytes, const std::string& where) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    lock::LongLockStore probe;
+    Status loaded = probe.LoadFromFile(path);
+    const uint64_t gen = probe.generation();
+    if (!loaded.ok() || gen < image_generation || gen > last_generation) {
+      ++res.failed_loads;
+      if (res.detail.empty()) {
+        res.detail = where + ": load " + loaded.ToString() + ", generation " +
+                     std::to_string(gen);
+      }
+      return;
+    }
+    ++(gen == last_generation ? res.recovered_newest : res.recovered_prefix);
+    const std::string why =
+        RestartConverges(server, f, standing, *zombie, durable_epochs);
+    if (!why.empty()) {
+      if (res.detail.empty()) res.detail = where + ": " + why;
+      return;
+    }
+    ++res.converged;
+  };
+  for (size_t len = image_end; len <= image.size(); ++len) {
+    ++res.truncations;
+    check(image.substr(0, len), "truncated at " + std::to_string(len));
+  }
+  for (size_t at = image_end; at < image.size(); ++at) {
+    ++res.flips;
+    std::string flipped = image;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    check(flipped, "flipped at " + std::to_string(at));
+  }
+  res.passed = res.failed_loads == 0 &&
+               res.converged == res.truncations + res.flips &&
+               res.recovered_newest > 0 && res.recovered_prefix > 0;
+  if (!res.passed && res.detail.empty()) {
+    res.detail = "expected both whole and shortened logs to be recovered";
+  }
+  return res;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -853,6 +1060,7 @@ int main(int argc, char** argv) {
   std::vector<PointResult> shm;
   FleetRunResult fleet;
   TruncateResult trunc;
+  TailResult tail;
   ShmCorruptionResult corrupt;
   bool ok = true;
   const bool ring_mode = mode == "ring" || mode == "all";
@@ -927,6 +1135,8 @@ int main(int argc, char** argv) {
   if (mode == "truncate" || mode == "all") {
     trunc = TruncateSweep(dir);
     ok = ok && trunc.passed;
+    tail = TailSweep(dir);
+    ok = ok && tail.passed;
   }
 
   if (json) {
@@ -1003,6 +1213,16 @@ int main(int argc, char** argv) {
          << ", \"recovered_g0\": " << trunc.recovered_g0
          << ", \"passed\": " << (trunc.passed ? "true" : "false")
          << ", \"detail\": \"" << toolcli::JsonEscape(trunc.detail) << "\"}";
+      os << ",\n  \"tail\": {\"deltas\": " << tail.deltas
+         << ", \"tail_bytes\": " << tail.tail_bytes
+         << ", \"truncations\": " << tail.truncations
+         << ", \"flips\": " << tail.flips
+         << ", \"failed_loads\": " << tail.failed_loads
+         << ", \"recovered_newest\": " << tail.recovered_newest
+         << ", \"recovered_prefix\": " << tail.recovered_prefix
+         << ", \"converged\": " << tail.converged
+         << ", \"passed\": " << (tail.passed ? "true" : "false")
+         << ", \"detail\": \"" << toolcli::JsonEscape(tail.detail) << "\"}";
     }
     os << ",\n  \"passed\": " << (ok ? "true" : "false") << "\n}\n";
     std::cout << os.str();
@@ -1058,6 +1278,14 @@ int main(int argc, char** argv) {
                 << trunc.recovered_g2 << "/" << trunc.recovered_g1 << "/"
                 << trunc.recovered_g0
                 << (trunc.detail.empty() ? "" : ": " + trunc.detail) << "\n";
+      std::cout << (tail.passed ? "PASS " : "FAIL ") << "log-tail sweep: "
+                << tail.deltas << " deltas, " << tail.tail_bytes
+                << " bytes, " << tail.truncations << " truncations, "
+                << tail.flips << " flips, " << tail.failed_loads
+                << " failed loads, whole/prefix = " << tail.recovered_newest
+                << "/" << tail.recovered_prefix << ", " << tail.converged
+                << " restarts converged"
+                << (tail.detail.empty() ? "" : ": " + tail.detail) << "\n";
     }
     std::cout << (ok ? "crashpoint sweep passed" : "crashpoint sweep FAILED")
               << "\n";
