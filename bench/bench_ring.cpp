@@ -1,4 +1,4 @@
-// Out-of-process serving overhead benchmark (DESIGN.md §13).
+// Out-of-process serving overhead benchmark (DESIGN.md §12).
 //
 // The host/handle split moves every check-out operation through the
 // shared-memory job ring: encode → admission control → publish → consume

@@ -26,10 +26,10 @@ fault::FaultPoint g_fault_acquire_path{"lock/acquire-path",
 /// Bumps the held-locks gauge by \p n and its high-water mark (atomics
 /// only).  Batched callers pay one RMW for a whole path.
 void NoteHoldersAdded(LockStats& stats, int64_t n) {
-  int64_t held = stats.held_locks.fetch_add(n, wm::relaxed) + n;
-  int64_t prev = stats.max_held_locks.load(wm::relaxed);
+  int64_t held = stats.held_locks.fetch_add(n, std::memory_order_relaxed) + n;
+  int64_t prev = stats.max_held_locks.load(std::memory_order_relaxed);
   while (prev < held && !stats.max_held_locks.compare_exchange_weak(
-                            prev, held, wm::relaxed)) {
+                            prev, held, std::memory_order_relaxed)) {
   }
 }
 
@@ -38,15 +38,7 @@ void NoteHolderAdded(LockStats& stats) { NoteHoldersAdded(stats, 1); }
 /// Source of long-lock change-set consumer tokens; unique across managers,
 /// so a consumer presenting a token to a manager it never reset is
 /// refused.
-wm::Atomic<uint64_t> g_next_consumer_token{1};
-
-/// Modes eligible for the optimistic fast path: the shared modes, which
-/// are mutually compatible in every combination — concurrent fast-path
-/// claims therefore need no ordering among themselves, only against the
-/// mutex side (the seqlock summary provides that).
-bool FastpathEligible(LockMode mode) {
-  return mode == LockMode::kS || mode == LockMode::kIS;
-}
+std::atomic<uint64_t> g_next_consumer_token{1};
 
 }  // namespace
 
@@ -83,15 +75,14 @@ LockManager::LockManager(Options options)
 
 LockManager::~LockManager() {
   // Standard lifetime contract: no concurrent users at destruction.  Take
-  // each shard mutex anyway so the analysis is satisfied and any release
-  // store is flushed.
+  // each shard mutex anyway so the analysis is satisfied.
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (auto& head : shard.buckets) {
-      Entry* e = head.load(wm::relaxed);
-      head.store(nullptr, wm::relaxed);
+    for (Entry*& head : shard.buckets) {
+      Entry* e = head;
+      head = nullptr;
       while (e != nullptr) {
-        Entry* next = e->next.load(wm::relaxed);
+        Entry* next = e->next;
         delete e;
         e = next;
       }
@@ -105,38 +96,38 @@ void LockManager::Wound(TxnId txn) {
   {
     MutexLock lk(wounded_mu_);
     if (!wounded_.insert(txn).second) return;
-    wounded_count_.fetch_add(1, wm::relaxed);
+    wounded_count_.fetch_add(1, std::memory_order_relaxed);
   }
   // The wounded transaction must observe the wound on its *next* acquire:
-  // drop its fast path before killing any pending wait.
+  // drop its cached grants before killing any pending wait.
   InvalidateAttachedCache(txn);
   wfg_.Kill(txn, KillReason::kWounded);
 }
 
 bool LockManager::IsWounded(TxnId txn) const {
-  if (wounded_count_.load(wm::acquire) == 0) return false;
+  if (wounded_count_.load(std::memory_order_acquire) == 0) return false;
   MutexLock lk(wounded_mu_);
   return wounded_.contains(txn);
 }
 
 void LockManager::ClearWound(TxnId txn) {
-  if (wounded_count_.load(wm::acquire) == 0) return;
+  if (wounded_count_.load(std::memory_order_acquire) == 0) return;
   MutexLock lk(wounded_mu_);
   if (wounded_.erase(txn) > 0) {
-    wounded_count_.fetch_sub(1, wm::relaxed);
+    wounded_count_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 void LockManager::AttachCache(TxnId txn, TxnLockCache* cache) {
   MutexLock lk(caches_mu_);
   caches_[txn] = cache;
-  cache_count_.store(caches_.size(), wm::release);
+  cache_count_.store(caches_.size(), std::memory_order_release);
 }
 
 void LockManager::DetachCache(TxnId txn) {
   MutexLock lk(caches_mu_);
   caches_.erase(txn);
-  cache_count_.store(caches_.size(), wm::release);
+  cache_count_.store(caches_.size(), std::memory_order_release);
 }
 
 void LockManager::InvalidateAttachedCache(TxnId txn) {
@@ -146,112 +137,53 @@ void LockManager::InvalidateAttachedCache(TxnId txn) {
   if (mutation::Enabled(mutation::Mutant::kDropCacheInvalidation)) return;
   // With no cache attached anywhere there is nothing to invalidate; skip
   // the registry mutex (standalone LockManager users never pay for it).
-  if (cache_count_.load(wm::acquire) == 0) return;
+  if (cache_count_.load(std::memory_order_acquire) == 0) return;
   MutexLock lk(caches_mu_);
   auto it = caches_.find(txn);
   if (it != caches_.end()) it->second->Invalidate();
 }
 
-// ---- Entry index (lock-free bucket chains + epoch-pooled nodes) ----------
+// ---- Entry index (bucket chains + pooled nodes) ---------------------------
 
 LockManager::Entry* LockManager::FindEntry(const Shard& shard,
                                            const ResourceId& res) const {
-  // Safe under the shard mutex *or* under an EBR guard: `res` and `next`
-  // of a linked node are immutable, and an unlinked node keeps its `next`
-  // pointing into the live tail so a reader mid-traversal continues.
-  Entry* e = shard.buckets[BucketIndexFor(res)].load(wm::seq_cst);
-  while (e != nullptr) {
+  for (Entry* e = shard.buckets[BucketIndexFor(res)]; e != nullptr;
+       e = e->next) {
     if (e->res == res) return e;
-    e = e->next.load(wm::seq_cst);
   }
   return nullptr;
 }
 
 LockManager::Entry& LockManager::EntryFor(Shard& shard, const ResourceId& res) {
-  const size_t b = BucketIndexFor(res);
-  Entry* head = shard.buckets[b].load(wm::relaxed);
-  for (Entry* e = head; e != nullptr;
-       e = e->next.load(wm::relaxed)) {
+  Entry*& head = shard.buckets[BucketIndexFor(res)];
+  for (Entry* e = head; e != nullptr; e = e->next) {
     if (e->res == res) return *e;
   }
-  Entry* e;
-  if (!shard.retired.empty() &&
-      ebr::Global().SafeToReclaim(shard.retired.front()->retire_stamp)) {
-    // The oldest retired node is epoch-safe: no pinned reader can still
-    // hold a pointer into it, so its key may be rewritten and its chain
-    // link repointed.
-    e = shard.retired.front();
-    shard.retired.erase(shard.retired.begin());
-    e->res = res;
-    e->summary.store(0, wm::relaxed);
-    e->holders.clear();
-    e->waiters.clear();
-  } else {
+  Entry* e = nullptr;
+  if (shard.retired.empty()) {
     e = new Entry();
-    e->res = res;
+  } else {
+    e = shard.retired.back();
+    shard.retired.pop_back();
   }
-  e->next.store(head, wm::relaxed);
-  // Publish: the seq_cst store orders the key/link writes above before the
-  // node becomes reachable to lock-free readers.
-  shard.buckets[b].store(e, wm::seq_cst);
-  ++shard.num_entries;
+  e->res = res;
+  e->next = head;
+  head = e;
   return *e;
 }
 
-void LockManager::RetireEntry(Shard& shard, Entry& entry) {
-  const size_t b = BucketIndexFor(entry.res);
-  Entry* cur = shard.buckets[b].load(wm::relaxed);
-  if (cur == &entry) {
-    shard.buckets[b].store(entry.next.load(wm::relaxed),
-                           wm::seq_cst);
-  } else {
-    while (cur != nullptr) {
-      Entry* next = cur->next.load(wm::relaxed);
-      if (next == &entry) break;
-      cur = next;
-    }
-    if (cur == nullptr) return;  // not linked — nothing to do (defensive)
-    cur->next.store(entry.next.load(wm::relaxed),
-                    wm::seq_cst);
-  }
-  // The node's own `next` stays intact: a pinned reader that reached it
-  // before the unlink continues through to the live tail of the chain.
-  entry.summary.fetch_or(kSummaryRetired, wm::seq_cst);
-  entry.holders.clear();
-  entry.waiters.clear();
-  // Stamp *after* the unlink: a reader pinned at or above the stamp
-  // provably validated its pin after the unlink became visible and cannot
-  // reach this node any more.
-  entry.retire_stamp = ebr::Global().Stamp();
-  --shard.num_entries;
-  shard.retired.push_back(&entry);
-  // Bound the idle pool; only an epoch-safe node may be freed outright.
-  if (shard.retired.size() > kEntryPoolSize &&
-      ebr::Global().SafeToReclaim(shard.retired.front()->retire_stamp)) {
-    delete shard.retired.front();
-    shard.retired.erase(shard.retired.begin());
-  }
-}
-
 void LockManager::MaybeRetireEntry(Shard& shard, Entry& entry) {
-  if ((entry.summary.load(wm::relaxed) & kSummaryRetired) != 0) {
-    return;  // already unlinked by an earlier repair
+  if (!entry.holders.empty() || !entry.waiters.empty()) return;
+  Entry** link = &shard.buckets[BucketIndexFor(entry.res)];
+  while (*link != nullptr && *link != &entry) link = &(*link)->next;
+  if (*link == nullptr) return;  // not linked — nothing to do (defensive)
+  *link = entry.next;
+  entry.next = nullptr;
+  if (shard.retired.size() < kEntryPoolSize) {
+    shard.retired.push_back(&entry);
+  } else {
+    delete &entry;
   }
-  if (entry.holders.empty() && entry.waiters.empty() && FpSlotsEmpty(entry)) {
-    RetireEntry(shard, entry);
-  }
-}
-
-bool LockManager::FpSlotsEmpty(const Entry& entry) {
-  for (const FpSlot& slot : entry.fp) {
-    // A transient claim (txn set, word still 0) counts as occupied:
-    // retiring under it would strand the claimant's revalidation.
-    if (slot.txn.load(wm::seq_cst) != kInvalidTxn ||
-        slot.word.load(wm::seq_cst) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---- Grant machinery -----------------------------------------------------
@@ -266,23 +198,6 @@ bool LockManager::CompatibleWithHolders(const Shard& shard, const Entry& entry,
     if (!Compatible(target, h.mode)) {
       compatible = false;
       break;
-    }
-  }
-  if (compatible) {
-    // Fast-path slots are holders too.  A transaction appearing both in
-    // the vector and in a slot is conflict-equivalent to holding the
-    // supremum of the two modes (the lattice distributes compatibility
-    // over suprema), so testing each part separately is exact.
-    for (const FpSlot& slot : entry.fp) {
-      const TxnId t = slot.txn.load(wm::seq_cst);
-      if (t == kInvalidTxn || t == txn) continue;
-      const uint64_t w = slot.word.load(wm::seq_cst);
-      if (w == 0) continue;  // transient claim: its revalidation sees us
-      stats_.compat_tests.Add();
-      if (!Compatible(target, FpMode(w))) {
-        compatible = false;
-        break;
-      }
     }
   }
   if (!compatible) stats_.conflicts.Add();
@@ -304,18 +219,12 @@ std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
   for (const Holder& h : entry.holders) {
     if (h.txn != txn && !Compatible(target, h.mode)) add(h.txn);
   }
-  for (const FpSlot& slot : entry.fp) {
-    const TxnId t = slot.txn.load(wm::seq_cst);
-    if (t == kInvalidTxn || t == txn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0 && !Compatible(target, FpMode(w))) add(t);
-  }
   if (self == nullptr || !self->is_conversion) {
     // FIFO: a regular request is also gated by every earlier queued waiter.
     for (const auto& w : entry.waiters) {
       if (w.get() == self) break;
       if (!w->granted &&
-          w->killed.load(wm::relaxed) == KillReason::kNone) {
+          w->killed.load(std::memory_order_relaxed) == KillReason::kNone) {
         add(w->txn);
       }
     }
@@ -326,7 +235,7 @@ std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
 void LockManager::GrantWaiters(Shard& shard, Entry& entry) {
   for (auto it = entry.waiters.begin(); it != entry.waiters.end();) {
     const std::shared_ptr<WaiterState>& w = *it;
-    if (w->killed.load(wm::relaxed) != KillReason::kNone) {
+    if (w->killed.load(std::memory_order_relaxed) != KillReason::kNone) {
       // The victim cleans up its own queue entry; skip it here.
       ++it;
       continue;
@@ -424,7 +333,7 @@ void LockManager::NoteLongChange(TxnId txn) {
 
 uint64_t LockManager::ResetLongLockChanges() const {
   MutexLock lk(long_changes_mu_);
-  long_consumer_ = g_next_consumer_token.fetch_add(1, wm::relaxed);
+  long_consumer_ = g_next_consumer_token.fetch_add(1, std::memory_order_relaxed);
   long_changed_.clear();
   return long_consumer_;
 }
@@ -441,176 +350,6 @@ bool LockManager::DrainLongLockChanges(uint64_t token,
   return true;
 }
 
-// ---- Optimistic compatible-mode fast path --------------------------------
-
-bool LockManager::TryFastpathAcquire(TxnId txn, ResourceId resource,
-                                     LockMode mode,
-                                     const AcquireOptions& options,
-                                     TxnLockCache* cache) {
-  (void)options;  // duration gated by the caller (fast-path holds are short)
-  if (draining_.load(wm::acquire)) return false;
-  ebr::Reclaimer::Guard guard(ebr::Global());
-  if (!guard.ok()) return false;  // registration table full: slow path only
-  Shard& shard = ShardFor(resource);
-  Entry* entry = FindEntry(shard, resource);
-  if (entry == nullptr) return false;  // first toucher pays the slow path
-
-  // Mutation point (kill-suite only): grant without the seqlock premise or
-  // revalidation.  A shared mode then lands over an exclusive holder and
-  // the compatibility oracle must see the impossible pair.
-  const bool validate =
-      !mutation::Enabled(mutation::Mutant::kFastpathSkipValidation);
-
-  // Order-weakening mutation point (kill-suite only): the premise and
-  // revalidation loads must be seq_cst — `codlock_wmc`'s
-  // summary_publish_validate harness proves relaxed loads can validate
-  // against a stale even summary and grant S over an X holder.
-  const wm::MemoryOrder summary_mo = mutation::WeakenedOrder(
-      mutation::Mutant::kWmSummaryLoadRelaxed, wm::seq_cst);
-  const uint64_t s1 = entry->summary.load(summary_mo);
-  if (validate) {
-    // Premise: settled summary (even sequence), no queued waiter to be
-    // fair to, not retired, and no vector holder whose mode conflicts
-    // with ours.  Other *fast-path* holders are always S/IS and therefore
-    // compatible by construction.
-    if ((s1 & 1) != 0 || (s1 & (kSummaryWaiters | kSummaryRetired)) != 0) {
-      return false;
-    }
-    const uint64_t mask = s1 >> kSummaryMaskShift;
-    for (int m = 0; m < kNumModes; ++m) {
-      if ((mask & (uint64_t{1} << m)) != 0 &&
-          !Compatible(mode, static_cast<LockMode>(m))) {
-        return false;
-      }
-    }
-  }
-
-  FpSlot* free_slot = nullptr;
-  for (FpSlot& slot : entry->fp) {
-    const TxnId owner = slot.txn.load(wm::seq_cst);
-    if (owner == txn) {
-      // Re-entrant covered acquisition: bump the count.  No revalidation —
-      // a covered re-acquisition never changes the entry's conflict set
-      // (the slow path bypasses the waiter queue for it too).
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (true) {
-        if (w == 0 || !Covers(FpMode(w), mode)) return false;  // slow path
-        if (slot.word.compare_exchange_weak(w, w + kFpCountOne,
-                                            wm::seq_cst)) {
-          stats_.fastpath_grants.Add();
-          if (cache != nullptr && cache->NoteFastpath(resource, FpMode(w))) {
-            RecordHeld(txn, resource);
-          }
-          return true;
-        }
-      }
-    }
-    if (free_slot == nullptr && owner == kInvalidTxn) free_slot = &slot;
-  }
-  if (free_slot == nullptr) return false;  // slots saturated: slow path
-
-  TxnId expected = kInvalidTxn;
-  // Order-weakening mutation point: the claim must sit in the seq_cst
-  // total order for the Dekker-style argument below — relaxed, a
-  // mutex-side slot scan may legally read the stale empty slot
-  // (codlock_wmc: summary_publish_validate, wm.slot-cas-relaxed).
-  if (!free_slot->txn.compare_exchange_strong(
-          expected, txn,
-          mutation::WeakenedOrder(mutation::Mutant::kWmSlotCasRelaxed,
-                                  wm::seq_cst))) {
-    return false;  // lost the slot race; slow path rather than re-scan
-  }
-  free_slot->word.store(FpWord(mode, 1), wm::seq_cst);
-  if (validate) {
-    // Revalidate: a shard-mutex mutation between the two reads bumped the
-    // sequence.  Mutators go odd *before* their compatibility scan, so in
-    // the seq_cst total order either they see our claim or we see their
-    // bump — never neither.
-    const uint64_t s2 = entry->summary.load(summary_mo);
-    if (s2 != s1) {
-      UndoFastpathClaim(shard, *entry, *free_slot, /*fresh_claim=*/true);
-      stats_.fastpath_failures.Add();
-      return false;
-    }
-  }
-  fastpath_used_.store(true, wm::release);
-  stats_.fastpath_grants.Add();
-  NoteHolderAdded(stats_);
-  if (cache == nullptr || cache->NoteFastpath(resource, mode)) {
-    RecordHeld(txn, resource);
-  }
-  return true;
-}
-
-void LockManager::UndoFastpathClaim(Shard& shard, Entry& entry, FpSlot& slot,
-                                    bool fresh_claim) {
-  slot.word.store(0, wm::seq_cst);
-  if (fresh_claim) slot.txn.store(kInvalidTxn, wm::seq_cst);
-  // A mutex-side grant decision may have counted the transient claim as a
-  // holder (and parked a waiter against it), and the entry may now be
-  // empty.  Repair under the mutex so no wakeup is lost.
-  MutexLock lk(shard.mu);
-  if ((entry.summary.load(wm::relaxed) & kSummaryRetired) != 0) {
-    return;  // already unlinked; nothing to repair
-  }
-  EntryMutation em(entry);
-  GrantWaiters(shard, entry);
-  MaybeRetireEntry(shard, entry);
-}
-
-LockManager::FpRelease LockManager::FastpathRelease(TxnId txn,
-                                                    ResourceId resource) {
-  ebr::Reclaimer::Guard guard(ebr::Global());
-  if (!guard.ok()) return FpRelease::kNoSlot;
-  Shard& shard = ShardFor(resource);
-  Entry* entry = FindEntry(shard, resource);
-  if (entry == nullptr) return FpRelease::kNoSlot;
-  for (FpSlot& slot : entry->fp) {
-    if (slot.txn.load(wm::seq_cst) != txn) continue;
-    uint64_t w = slot.word.load(wm::seq_cst);
-    while (true) {
-      if (w == 0) return FpRelease::kNoSlot;  // purged concurrently
-      const uint64_t next = (w >> 8) > 1 ? w - kFpCountOne : 0;
-      if (!slot.word.compare_exchange_weak(w, next,
-                                           wm::seq_cst)) {
-        continue;
-      }
-      stats_.releases.Add();
-      if (next != 0) return FpRelease::kReleased;
-      slot.txn.store(kInvalidTxn, wm::seq_cst);
-      stats_.held_locks.fetch_sub(1, wm::relaxed);
-      // Freed the last count.  If a waiter parked against this hold — or a
-      // grant decision that could park one is in flight (odd sequence) —
-      // repair under the mutex; otherwise an X waiter blocked only by our
-      // S would sleep to its deadline.  Also repair when the entry is
-      // plausibly empty, so it gets retired rather than lingering.
-      const uint64_t s = entry->summary.load(wm::seq_cst);
-      bool occupied = false;
-      for (const FpSlot& other : entry->fp) {
-        if (&other == &slot) continue;
-        if (other.txn.load(wm::seq_cst) != kInvalidTxn ||
-            other.word.load(wm::seq_cst) != 0) {
-          occupied = true;
-          break;
-        }
-      }
-      const bool maybe_empty = (s >> kSummaryMaskShift) == 0 && !occupied;
-      if ((s & 1) != 0 || (s & kSummaryWaiters) != 0 ||
-          ((s & kSummaryRetired) == 0 && maybe_empty)) {
-        MutexLock lk(shard.mu);
-        if ((entry->summary.load(wm::relaxed) &
-             kSummaryRetired) == 0) {
-          EntryMutation em(*entry);
-          GrantWaiters(shard, *entry);
-          MaybeRetireEntry(shard, *entry);
-        }
-      }
-      return FpRelease::kReleasedLast;
-    }
-  }
-  return FpRelease::kNoSlot;
-}
-
 // ---- Acquire -------------------------------------------------------------
 
 Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
@@ -622,10 +361,10 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (mode == LockMode::kNL) {
     return Status::InvalidArgument("cannot acquire mode NL");
   }
-  // Fast path: a covered re-acquisition is answered from the transaction's
-  // own cache without touching any mutex.  A wound invalidates the cache
-  // (see Wound), so a wounded transaction always falls through to the
-  // slow path and fails there.
+  // A covered re-acquisition is answered from the transaction's own cache
+  // without touching any mutex.  A wound invalidates the cache (see
+  // Wound), so a wounded transaction always reaches the shard and fails
+  // there.
   // A hit pays exactly one atomic RMW: cache_hits.  Total requests =
   // requests + cache_hits and total grants = grants + cache_hits (see
   // metrics.h).
@@ -639,16 +378,6 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (policy_ == DeadlockPolicy::kWoundWait && IsWounded(txn)) {
     return Status::Aborted("transaction " + std::to_string(txn) +
                            " was wounded by an older transaction");
-  }
-  // Optimistic fast path: a short S/IS request against a settled entry is
-  // granted by claiming a fast-path slot, seqlock-validated — no shard
-  // mutex.  Gated on an attached cache so releases know to probe the slot.
-  if (options_.enable_fastpath && cache != nullptr &&
-      options.duration == LockDuration::kShort && FastpathEligible(mode) &&
-      TryFastpathAcquire(txn, resource, mode, options, cache)) {
-    stats_.grants.Add();
-    stats_.immediate_grants.Add();
-    return Status::OK();
   }
   return AcquireSlow(txn, resource, mode, options, cache);
 }
@@ -732,22 +461,6 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   if (n - hits != 0) stats_.requests.Add(n - hits);
   if (todo_mask == 0) return Status::OK();
 
-  // Pass 1.5: optimistic fast path for shared-mode positions (an S leaf
-  // makes the *whole* path eligible: IS prefix + S leaf).  Successes are
-  // fully accounted inside TryFastpathAcquire except for the batched
-  // grants counters below.
-  uint64_t fp_mask = 0;
-  if (options_.enable_fastpath && cache != nullptr && !want_long) {
-    for (uint64_t scan = todo_mask; scan != 0; scan &= scan - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      if (!FastpathEligible(mode_of(i))) continue;
-      if (TryFastpathAcquire(txn, path[i], mode_of(i), options, cache)) {
-        fp_mask |= uint64_t{1} << i;
-        todo_mask &= ~(uint64_t{1} << i);
-      }
-    }
-  }
-
   // Pass 2: group by shard and visit each shard mutex once.  Immediate
   // grants may land out of path order; that is invisible to other
   // transactions (each grant only *adds* to this transaction's hold set)
@@ -772,13 +485,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       bool record_held = false;
       bool long_changed = false;
       LockMode granted = LockMode::kNL;
-      bool ok;
-      {
-        EntryMutation em(entry);
-        ok = TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
-                            record_held, long_changed);
-      }
-      if (ok) {
+      if (TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
+                         record_held, long_changed)) {
         granted_of[i] = granted;
         granted_mask |= uint64_t{1} << i;
         if (record_held) newly_held[num_newly_held++] = path[i];
@@ -788,8 +496,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       }
     }
   }
-  const uint64_t immediate = static_cast<uint64_t>(std::popcount(granted_mask) +
-                                                   std::popcount(fp_mask));
+  const uint64_t immediate =
+      static_cast<uint64_t>(std::popcount(granted_mask));
   if (immediate != 0) {
     stats_.grants.Add(immediate);
     stats_.immediate_grants.Add(immediate);
@@ -811,8 +519,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   // Pass 3: whatever conflicted is acquired blocking, in path order
   // (rule 5 root-to-leaf waiting semantics; ascending bits = path order).
   // A mid-path failure (timeout, deadlock, shed, injected fault) rolls
-  // back every acquisition *this call* made — cache hits, fast-path and
-  // immediate grants and blocking grants — leaf-to-root, so the failed
+  // back every acquisition *this call* made — cache hits, immediate
+  // grants and blocking grants — leaf-to-root, so the failed
   // path leaves no new intention locks behind for the retry loop to trip
   // over.
   Status status;
@@ -829,7 +537,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   }
   if (status.ok()) return Status::OK();
 
-  const uint64_t undo = hit_mask | fp_mask | granted_mask | blocking_done;
+  const uint64_t undo = hit_mask | granted_mask | blocking_done;
   for (size_t i = n; i-- > 0;) {
     if ((undo & (uint64_t{1} << i)) == 0) continue;
     // Count-paired: a re-entrant acquisition merely drops back to its
@@ -872,7 +580,7 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
     if (is_conversion) return true;  // conversions jump the queue
     for (const auto& w : entry.waiters) {
       if (!w->granted &&
-          w->killed.load(wm::relaxed) == KillReason::kNone) {
+          w->killed.load(std::memory_order_relaxed) == KillReason::kNone) {
         return false;
       }
     }
@@ -904,81 +612,70 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
                                   bool& record_held, bool& long_changed,
                                   LockMode& granted) {
   Entry& entry = EntryFor(shard, resource);
-  std::shared_ptr<WaiterState> waiter;
-  LockMode target = mode;
-  bool is_conversion = false;
-  {
-    // One seqlock window spans the grant decision *and* the enqueue: a
-    // fast-path release racing our compatibility scan then sees an odd
-    // sequence (or the published waiter flag) and repairs under the mutex,
-    // so its wakeup cannot fall between our scan and our park.
-    EntryMutation em(entry);
-    if (TryGrantLocked(shard, entry, txn, mode, options, granted,
-                       record_held, long_changed)) {
-      stats_.grants.Add();
-      stats_.immediate_grants.Add();
-      if (record_held) NoteHolderAdded(stats_);
-      return Status::OK();
-    }
-
-    Holder* mine = nullptr;
-    for (Holder& h : entry.holders) {
-      if (h.txn == txn) {
-        mine = &h;
-        break;
-      }
-    }
-    target = mine != nullptr ? Supremum(mine->mode, mode) : mode;
-    is_conversion = mine != nullptr;
-
-    if (!options.wait) {
-      MaybeRetireEntry(shard, entry);
-      return Status::Conflict("lock " + std::string(LockModeName(mode)) +
-                              " on " + resource.ToString() +
-                              " conflicts and wait=false");
-    }
-
-    // Crash/restart drain: no new waiter may park once draining started.
-    if (draining_.load(wm::acquire)) {
-      MaybeRetireEntry(shard, entry);
-      return Status::Aborted("lock manager is draining for shutdown");
-    }
-
-    // Overload shedding: beyond the blocked-waiter cap, rejecting is
-    // kinder than queuing — the convoy would only deepen.  kShed tells the
-    // caller "retry with backoff", unlike kConflict/kTimeout.
-    if (options_.max_blocked_waiters != 0 &&
-        blocked_waiters_.load(wm::acquire) >=
-            options_.max_blocked_waiters) {
-      stats_.sheds.Add();
-      MaybeRetireEntry(shard, entry);
-      return Status::Shed("lock wait on " + resource.ToString() + " shed: " +
-                          std::to_string(options_.max_blocked_waiters) +
-                          " waiters already blocked");
-    }
-
-    if (fault::FireResult f = g_fault_waiter_alloc.Fire()) {
-      MaybeRetireEntry(shard, entry);
-      return fault::StatusFor(f, g_fault_waiter_alloc.name());
-    }
-
-    // Enqueue; the window's closing store publishes the has-waiters flag.
-    waiter = std::make_shared<WaiterState>();
-    waiter->txn = txn;
-    waiter->wanted = target;
-    waiter->is_conversion = is_conversion;
-    waiter->duration = options.duration;
-    if (is_conversion) {
-      // Conversions wait at the front: they only need current holders to
-      // drain, and granting them first avoids needless conversion
-      // deadlocks with queued fresh requests.
-      entry.waiters.insert(entry.waiters.begin(), waiter);
-    } else {
-      entry.waiters.push_back(waiter);
-    }
-    stats_.waits.Add();
-    blocked_waiters_.fetch_add(1, wm::acq_rel);
+  if (TryGrantLocked(shard, entry, txn, mode, options, granted,
+                     record_held, long_changed)) {
+    stats_.grants.Add();
+    stats_.immediate_grants.Add();
+    if (record_held) NoteHolderAdded(stats_);
+    return Status::OK();
   }
+
+  Holder* mine = nullptr;
+  for (Holder& h : entry.holders) {
+    if (h.txn == txn) {
+      mine = &h;
+      break;
+    }
+  }
+  const LockMode target = mine != nullptr ? Supremum(mine->mode, mode) : mode;
+  const bool is_conversion = mine != nullptr;
+
+  if (!options.wait) {
+    MaybeRetireEntry(shard, entry);
+    return Status::Conflict("lock " + std::string(LockModeName(mode)) +
+                            " on " + resource.ToString() +
+                            " conflicts and wait=false");
+  }
+
+  // Crash/restart drain: no new waiter may park once draining started.
+  if (draining_.load(std::memory_order_acquire)) {
+    MaybeRetireEntry(shard, entry);
+    return Status::Aborted("lock manager is draining for shutdown");
+  }
+
+  // Overload shedding: beyond the blocked-waiter cap, rejecting is
+  // kinder than queuing — the convoy would only deepen.  kShed tells the
+  // caller "retry with backoff", unlike kConflict/kTimeout.
+  if (options_.max_blocked_waiters != 0 &&
+      blocked_waiters_.load(std::memory_order_acquire) >=
+          options_.max_blocked_waiters) {
+    stats_.sheds.Add();
+    MaybeRetireEntry(shard, entry);
+    return Status::Shed("lock wait on " + resource.ToString() + " shed: " +
+                        std::to_string(options_.max_blocked_waiters) +
+                        " waiters already blocked");
+  }
+
+  if (fault::FireResult f = g_fault_waiter_alloc.Fire()) {
+    MaybeRetireEntry(shard, entry);
+    return fault::StatusFor(f, g_fault_waiter_alloc.name());
+  }
+
+  auto waiter = std::make_shared<WaiterState>();
+  waiter->txn = txn;
+  waiter->wanted = target;
+  waiter->is_conversion = is_conversion;
+  waiter->duration = options.duration;
+  if (is_conversion) {
+    // Conversions wait at the front: they only need current holders to
+    // drain, and granting them first avoids needless conversion
+    // deadlocks with queued fresh requests.
+    entry.waiters.insert(entry.waiters.begin(), waiter);
+  } else {
+    entry.waiters.push_back(waiter);
+  }
+  stats_.waits.Add();
+  blocked_waiters_.fetch_add(1, std::memory_order_acq_rel);
 
   const uint64_t timeout_ms =
       options.timeout_ms != AcquireOptions::kTimeoutDefault
@@ -994,7 +691,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
   if (fault::FireResult f = g_fault_wait.Fire()) {
     // Forced timeout: the wait "expires" immediately, whatever the
     // deadline was.
-    blocked_waiters_.fetch_sub(1, wm::acq_rel);
+    blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
     CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
     stats_.timeouts.Add();
     return fault::StatusFor(f, g_fault_wait.name());
@@ -1007,7 +704,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
             BlockersOf(shard, entry, txn, target, waiter.get());
         TxnId victim = wfg_.UpdateAndCheck(txn, std::move(blockers), waiter);
         if (victim == txn) {
-          blocked_waiters_.fetch_sub(1, wm::acq_rel);
+          blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
           CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
           stats_.deadlocks.Add();
           return Status::Deadlock("transaction " + std::to_string(txn) +
@@ -1022,7 +719,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
         for (TxnId blocker :
              BlockersOf(shard, entry, txn, target, waiter.get())) {
           if (blocker < txn) {
-            blocked_waiters_.fetch_sub(1, wm::acq_rel);
+            blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
             CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
             stats_.deadlocks.Add();
             return Status::Deadlock(
@@ -1049,7 +746,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
 
     auto wake_pred = [&] {
       return waiter->granted ||
-             waiter->killed.load(wm::relaxed) !=
+             waiter->killed.load(std::memory_order_relaxed) !=
                  KillReason::kNone;
     };
     bool in_time = true;
@@ -1061,7 +758,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
     }
 
     if (waiter->granted) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       wfg_.Remove(txn);
       stats_.grants.Add();
       stats_.wait_ns.Record(waited.ElapsedNanos());
@@ -1070,9 +767,9 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
       granted = target;
       return Status::OK();
     }
-    KillReason reason = waiter->killed.load(wm::relaxed);
+    KillReason reason = waiter->killed.load(std::memory_order_relaxed);
     if (reason != KillReason::kNone) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
       if (reason == KillReason::kShutdown) {
         return Status::Aborted("lock wait on " + resource.ToString() +
@@ -1090,7 +787,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
                               resource.ToString());
     }
     if (!in_time) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
       stats_.timeouts.Add();
       return Status::Timeout("lock wait on " + resource.ToString() +
@@ -1103,13 +800,10 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
 void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
                                     const WaiterState* waiter,
                                     const Stopwatch& waited) {
-  {
-    EntryMutation em(entry);
-    EraseWaiter(shard, entry, waiter);
-    // Our queue slot may have been the only thing blocking those behind us.
-    GrantWaiters(shard, entry);
-    MaybeRetireEntry(shard, entry);
-  }
+  EraseWaiter(shard, entry, waiter);
+  // Our queue slot may have been the only thing blocking those behind us.
+  GrantWaiters(shard, entry);
+  MaybeRetireEntry(shard, entry);
   wfg_.Remove(txn);
   stats_.wait_ns.Record(waited.ElapsedNanos());
 }
@@ -1118,30 +812,10 @@ void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::Release(TxnId txn, ResourceId resource,
                             TxnLockCache* cache) {
-  // Fast path: the matching acquisition never reached the shard either.
+  // The matching acquisition never reached the shard either.
   if (cache != nullptr && cache->ConsumeRelease(resource)) {
     stats_.releases.Add();
     return Status::OK();
-  }
-  // Optimistic fast path: release a fast-path slot count without the
-  // mutex.  The cache remembers whether a slot may back this resource;
-  // without a cache (or after invalidation) the probe runs conservatively.
-  if (fastpath_used_.load(wm::acquire) &&
-      (cache == nullptr || cache->MaybeFastpathHeld(resource))) {
-    switch (FastpathRelease(txn, resource)) {
-      case FpRelease::kReleased:
-        return Status::OK();
-      case FpRelease::kReleasedLast:
-        // The slot is gone; a cached mode may have been backed by it
-        // alone, so drop it (under-claiming is always safe — the
-        // transaction may still hold a vector-side mode here, which the
-        // slow path re-notes on its next use).  The registry row stays
-        // until EOT; every reader tolerates rows without live holders.
-        if (cache != nullptr) cache->Erase(resource);
-        return Status::OK();
-      case FpRelease::kNoSlot:
-        break;
-    }
   }
   Shard& shard = ShardFor(resource);
   bool forget = false;
@@ -1153,7 +827,6 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       return Status::NotFound("no lock entry for " + resource.ToString());
     }
     Entry& entry = *e;
-    EntryMutation em(entry);
     for (size_t i = 0; i < entry.holders.size(); ++i) {
       if (entry.holders[i].txn != txn) continue;
       stats_.releases.Add();
@@ -1162,35 +835,11 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       }
       long_erased = entry.holders[i].duration == LockDuration::kLong;
       entry.holders.erase(entry.holders.begin() + static_cast<long>(i));
-      stats_.held_locks.fetch_sub(1, wm::relaxed);
+      stats_.held_locks.fetch_sub(1, std::memory_order_relaxed);
       GrantWaiters(shard, entry);
       MaybeRetireEntry(shard, entry);
       forget = true;
       return Status::OK();
-    }
-    // Fast-path slot fallback: reached when the lock-free probe was
-    // skipped or failed (EBR registration exhausted, foreign-thread
-    // release).  Safe under the mutex: the owner's lock-free ops are
-    // CAS-based, so this decrement linearizes against them.
-    for (FpSlot& slot : entry.fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (w != 0) {
-        const uint64_t next = (w >> 8) > 1 ? w - kFpCountOne : 0;
-        if (!slot.word.compare_exchange_weak(w, next,
-                                             wm::seq_cst)) {
-          continue;
-        }
-        stats_.releases.Add();
-        if (next == 0) {
-          slot.txn.store(kInvalidTxn, wm::seq_cst);
-          stats_.held_locks.fetch_sub(1, wm::relaxed);
-          GrantWaiters(shard, entry);
-          MaybeRetireEntry(shard, entry);
-          forget = true;  // no vector holder (scanned above): row is gone
-        }
-        return Status::OK();
-      }
     }
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
@@ -1242,7 +891,6 @@ size_t LockManager::ReleaseAll(TxnId txn) {
       Entry* e = FindEntry(shard, keyed[i].second);
       if (e == nullptr) continue;
       Entry& entry = *e;
-      EntryMutation em(entry);
       bool changed = false;
       for (size_t h = 0; h < entry.holders.size(); ++h) {
         if (entry.holders[h].txn != txn) continue;
@@ -1254,17 +902,6 @@ size_t LockManager::ReleaseAll(TxnId txn) {
         changed = true;
         break;
       }
-      // Purge any fast-path slot of this transaction as well; the
-      // exchange linearizes against the owner's CAS-based count updates.
-      for (FpSlot& slot : entry.fp) {
-        if (slot.txn.load(wm::seq_cst) != txn) continue;
-        const uint64_t w = slot.word.exchange(0, wm::seq_cst);
-        slot.txn.store(kInvalidTxn, wm::seq_cst);
-        if (w != 0) {
-          ++released;
-          changed = true;
-        }
-      }
       if (changed) {
         GrantWaiters(shard, entry);
         MaybeRetireEntry(shard, entry);
@@ -1274,7 +911,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
   // One RMW per counter for the whole transaction.
   if (released != 0) {
     stats_.held_locks.fetch_sub(static_cast<int64_t>(released),
-                                wm::relaxed);
+                                std::memory_order_relaxed);
     stats_.releases.Add(released);
   }
   if (long_erased) NoteLongChange(txn);
@@ -1284,20 +921,19 @@ size_t LockManager::ReleaseAll(TxnId txn) {
 
 size_t LockManager::DrainForShutdown() {
   // From here on AcquireLocked refuses to park new waiters (they fail with
-  // kAborted before enqueuing) and the optimistic fast path stands down.
-  draining_.store(true, wm::release);
+  // kAborted before enqueuing).
+  draining_.store(true, std::memory_order_release);
   size_t killed = 0;
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
+    for (Entry* head : shard.buckets) {
+      for (Entry* e = head; e != nullptr; e = e->next) {
         for (auto& w : e->waiters) {
           if (w->granted) continue;
           KillReason expected = KillReason::kNone;
           if (w->killed.compare_exchange_strong(expected,
                                                 KillReason::kShutdown,
-                                                wm::relaxed)) {
+                                                std::memory_order_relaxed)) {
             ++killed;
             w->cv.NotifyAll();
           }
@@ -1309,7 +945,7 @@ size_t LockManager::DrainForShutdown() {
   // removal) and decrements the gauge as it leaves; wait for the last one
   // so the manager can be destroyed without a thread sleeping on a member
   // condition variable.
-  while (blocked_waiters_.load(wm::acquire) != 0) {
+  while (blocked_waiters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
   return killed;
@@ -1326,7 +962,6 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
       return Status::NotFound("no lock entry for " + resource.ToString());
     }
     Entry& entry = *e;
-    EntryMutation em(entry);
     for (Holder& h : entry.holders) {
       if (h.txn != txn) continue;
       if (!Covers(h.mode, mode)) {
@@ -1339,23 +974,6 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
       // The narrower mode may unblock queued waiters.
       GrantWaiters(shard, entry);
       return Status::OK();
-    }
-    // Fast-path-only hold: rewrite the slot's mode in place.
-    for (FpSlot& slot : entry.fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (w != 0) {
-        if (!Covers(FpMode(w), mode)) {
-          return Status::InvalidArgument(
-              "cannot downgrade " + std::string(LockModeName(FpMode(w))) +
-              " to " + std::string(LockModeName(mode)));
-        }
-        if (slot.word.compare_exchange_weak(w, FpWord(mode, w >> 8),
-                                            wm::seq_cst)) {
-          GrantWaiters(shard, entry);
-          return Status::OK();
-        }
-      }
     }
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
@@ -1379,19 +997,10 @@ LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
   MutexLock lk(shard.mu);
   Entry* e = FindEntry(shard, resource);
   if (e == nullptr) return LockMode::kNL;
-  LockMode m = LockMode::kNL;
   for (const Holder& h : e->holders) {
-    if (h.txn == txn) {
-      m = h.mode;
-      break;
-    }
+    if (h.txn == txn) return h.mode;
   }
-  for (const FpSlot& slot : e->fp) {
-    if (slot.txn.load(wm::seq_cst) != txn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0) m = Supremum(m, FpMode(w));
-  }
-  return m;
+  return LockMode::kNL;
 }
 
 LockMode LockManager::GroupMode(ResourceId resource) const {
@@ -1401,11 +1010,6 @@ LockMode LockManager::GroupMode(ResourceId resource) const {
   if (e == nullptr) return LockMode::kNL;
   LockMode m = LockMode::kNL;
   for (const Holder& h : e->holders) m = Supremum(m, h.mode);
-  for (const FpSlot& slot : e->fp) {
-    if (slot.txn.load(wm::seq_cst) == kInvalidTxn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0) m = Supremum(m, FpMode(w));
-  }
   return m;
 }
 
@@ -1418,26 +1022,12 @@ std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, resource);
     if (e == nullptr) continue;
-    LockMode m = LockMode::kNL;
-    LockDuration d = LockDuration::kShort;
-    bool found = false;
     for (const Holder& h : e->holders) {
       if (h.txn == txn) {
-        m = h.mode;
-        d = h.duration;
-        found = true;
+        out.push_back(HeldLock{resource, h.mode, h.duration});
         break;
       }
     }
-    for (const FpSlot& slot : e->fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      const uint64_t w = slot.word.load(wm::seq_cst);
-      if (w != 0) {
-        m = Supremum(m, FpMode(w));
-        found = true;
-      }
-    }
-    if (found) out.push_back(HeldLock{resource, m, d});
   }
   return out;
 }
@@ -1446,10 +1036,9 @@ size_t LockManager::NumEntries() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        if (!e->holders.empty() || !e->waiters.empty() || !FpSlotsEmpty(*e)) {
+    for (Entry* head : shard.buckets) {
+      for (Entry* e = head; e != nullptr; e = e->next) {
+        if (!e->holders.empty() || !e->waiters.empty()) {
           ++n;
         }
       }
@@ -1462,10 +1051,8 @@ std::vector<LongLockRecord> LockManager::SnapshotLongLocks() const {
   std::vector<LongLockRecord> out;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        // Fast-path slots never contribute: those grants are always short.
+    for (Entry* head : shard.buckets) {
+      for (Entry* e = head; e != nullptr; e = e->next) {
         for (const Holder& h : e->holders) {
           if (h.duration == LockDuration::kLong) {
             out.push_back(LongLockRecord{h.txn, e->res, h.mode});
@@ -1499,29 +1086,10 @@ std::vector<LongLockRecord> LockManager::SnapshotAllLocks() const {
   std::vector<LongLockRecord> out;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        const size_t first_row = out.size();
+    for (Entry* head : shard.buckets) {
+      for (Entry* e = head; e != nullptr; e = e->next) {
         for (const Holder& h : e->holders) {
           out.push_back(LongLockRecord{h.txn, e->res, h.mode});
-        }
-        // Merge fast-path slots: a transaction with both a vector row and
-        // a slot on one entry is reported once, at the supremum.
-        for (const FpSlot& slot : e->fp) {
-          const TxnId t = slot.txn.load(wm::seq_cst);
-          if (t == kInvalidTxn) continue;
-          const uint64_t w = slot.word.load(wm::seq_cst);
-          if (w == 0) continue;
-          bool merged = false;
-          for (size_t r = first_row; r < out.size(); ++r) {
-            if (out[r].txn == t) {
-              out[r].mode = Supremum(out[r].mode, FpMode(w));
-              merged = true;
-              break;
-            }
-          }
-          if (!merged) out.push_back(LongLockRecord{t, e->res, FpMode(w)});
         }
       }
     }
@@ -1562,7 +1130,6 @@ Status LockManager::RestoreLongLocks(
     {
       MutexLock lk(shard.mu);
       Entry& entry = EntryFor(shard, rec.resource);
-      EntryMutation em(entry);
       Holder* mine = nullptr;
       for (Holder& h : entry.holders) {
         if (h.txn == rec.txn) {
@@ -1609,7 +1176,7 @@ TxnId LockManager::WaitsForGraph::UpdateAndCheck(
       victim = self;
     } else {
       it->second.waiter->killed.store(KillReason::kDeadlockVictim,
-                                      wm::relaxed);
+                                      std::memory_order_relaxed);
       it->second.waiter->cv.NotifyAll();
     }
   }
@@ -1628,7 +1195,7 @@ void LockManager::WaitsForGraph::Kill(TxnId txn, KillReason reason) {
   MutexLock lk(mu_);
   auto it = waiting_.find(txn);
   if (it == waiting_.end()) return;
-  it->second.waiter->killed.store(reason, wm::relaxed);
+  it->second.waiter->killed.store(reason, std::memory_order_relaxed);
   it->second.waiter->cv.NotifyAll();
 }
 
@@ -1659,7 +1226,7 @@ bool LockManager::WaitsForGraph::FindCycle(TxnId self,
         it != waiting_.end() ? &it->second.blockers : nullptr;
     // Skip edges of already-killed victims; their requests are unwinding.
     if (edges != nullptr && it->second.waiter != nullptr &&
-        it->second.waiter->killed.load(wm::relaxed) !=
+        it->second.waiter->killed.load(std::memory_order_relaxed) !=
             KillReason::kNone) {
       edges = nullptr;
     }

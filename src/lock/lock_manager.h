@@ -28,29 +28,16 @@
 ///  * waiters carry their own condition variable, so a grant wakes exactly
 ///    the transactions it unblocked instead of broadcasting to the shard.
 ///
-/// ## Multi-core machinery (see DESIGN.md §11)
-///
-///  * **Optimistic compatible-mode fast path.**  Every `Entry` carries a
-///    seqlock-style *grant summary*: a packed word holding a sequence
-///    number (odd while a shard-mutex holder mutates the entry), a
-///    has-waiters flag, a retired flag and the mode mask of the vector
-///    holders.  `Acquire` of S/IS with a fresh attached cache validates
-///    the summary, claims one of the entry's atomic *fast-path slots*
-///    (txn + packed mode/count) and revalidates — granting without ever
-///    taking the shard mutex.  Any summary change between the two reads
-///    undoes the claim and falls back to the locked slow path.  Fast-path
-///    holders are first-class: every compatibility test, blocker set,
-///    snapshot and mode query merges them with the holder vector.
-///  * **Epoch-based reclamation.**  Entries live in per-shard lock-free
-///    bucket chains.  Retiring an entry unlinks it under the mutex and
-///    stamps it with the global epoch (`lock/ebr.h`); the node is reused
-///    only once no reader can still hold a pointer into it, so fast-path
-///    readers never race `RetireEntry` and never block on the allocator.
+/// The lock table itself is plain (DESIGN.md §11): every entry lives in a
+/// per-shard bucket chain and is read and written only under its shard
+/// mutex.  An emptied entry is unlinked at once and kept in a small
+/// per-shard pool (`kEntryPoolSize`) for the next new resource.
 
 #ifndef CODLOCK_LOCK_LOCK_MANAGER_H_
 #define CODLOCK_LOCK_LOCK_MANAGER_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -58,7 +45,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "lock/ebr.h"
 #include "lock/mode.h"
 #include "lock/resource.h"
 #include "lock/txn_lock_cache.h"
@@ -66,7 +52,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/wm_atomic.h"
 
 namespace codlock::lock {
 
@@ -146,10 +131,6 @@ class LockManager {
     /// Default deadline for waiting requests; may be
     /// `AcquireOptions::kTimeoutInfinite`.
     uint64_t default_timeout_ms = 10'000;
-    /// Master switch for the optimistic compatible-mode fast path.  Off,
-    /// every request takes the mutex-protected slow path — the benchmark
-    /// baseline the fast path is measured against.
-    bool enable_fastpath = true;
     /// Overload shedding: when more than this many requests are blocked
     /// manager-wide, further requests that would have to wait fail with
     /// `StatusCode::kShed` instead of queuing (0 = unlimited).  Bounds the
@@ -185,8 +166,7 @@ class LockManager {
   /// \p cache, when given, must be the cache attached for \p txn (see
   /// `AttachCache`) and the call must come from the transaction's own
   /// thread.  Covered re-acquisitions are then answered from the cache
-  /// without touching the shard, and short S/IS requests may be granted
-  /// by the optimistic fast path without taking the shard mutex.
+  /// without touching the shard.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
                  TxnLockCache* cache = nullptr)
@@ -213,8 +193,7 @@ class LockManager {
   /// disappears when the count reaches zero).  The held *mode* is not
   /// recomputed on partial release; use `Downgrade` for de-escalation.
   /// With \p cache, a release pairing a cache-granted acquisition is
-  /// absorbed locally; one pairing a fast-path grant is absorbed by the
-  /// entry's fast-path slot without the shard mutex.
+  /// absorbed locally.
   Status Release(TxnId txn, ResourceId resource, TxnLockCache* cache = nullptr)
       CODLOCK_EXCLUDES(registry_mu_, caches_mu_);
 
@@ -242,8 +221,7 @@ class LockManager {
   /// destroyed.
   void DetachCache(TxnId txn) CODLOCK_EXCLUDES(caches_mu_);
 
-  /// Mode currently held by \p txn on \p resource (kNL if none); merges
-  /// the holder vector with the entry's fast-path slots.
+  /// Mode currently held by \p txn on \p resource (kNL if none).
   LockMode HeldMode(TxnId txn, ResourceId resource) const;
 
   /// Effective *granted group* mode of \p resource: supremum over all
@@ -253,26 +231,22 @@ class LockManager {
   /// All locks currently held by \p txn.
   std::vector<HeldLock> LocksOf(TxnId txn) const;
 
-  /// Number of resources with at least one holder (vector or fast-path)
-  /// or waiter.
+  /// Number of resources with at least one holder or waiter.
   size_t NumEntries() const;
 
   /// Number of shards after clamping/rounding (inspection).
   size_t NumShards() const { return shards_.size(); }
 
-  /// All long locks currently held (for the `LongLockStore`).  Fast-path
-  /// grants are always short, so the fast-path slots never contribute.
+  /// All long locks currently held (for the `LongLockStore`).
   std::vector<LongLockRecord> SnapshotLongLocks() const;
 
   /// All locks currently held, regardless of duration (used by the
   /// protocol validator to audit global consistency of the grant set).
-  /// A transaction with both a vector holder and a fast-path slot on one
-  /// entry is reported once, at the supremum of the two modes.
   std::vector<LongLockRecord> SnapshotAllLocks() const;
 
   /// Long locks currently held by \p txn, in O(locks of \p txn).  Reports
-  /// exactly what `SnapshotLongLocks` reports for \p txn: vector holders
-  /// of long duration (fast-path grants are always short).
+  /// exactly what `SnapshotLongLocks` reports for \p txn: its holders of
+  /// long duration.
   std::vector<LongLockRecord> LongLocksOf(TxnId txn) const
       CODLOCK_EXCLUDES(registry_mu_);
 
@@ -315,7 +289,7 @@ class LockManager {
 
   /// Number of requests currently blocked waiting for a lock.
   size_t NumBlockedWaiters() const {
-    return blocked_waiters_.load(wm::acquire);
+    return blocked_waiters_.load(std::memory_order_acquire);
   }
 
   /// Crash/shutdown preparation: rejects requests that would have to wait
@@ -351,7 +325,7 @@ class LockManager {
     /// Set with `granted`: the grant created or changed a long holder.
     bool long_changed = false;
     LockDuration duration = LockDuration::kShort;
-    wm::Atomic<KillReason> killed{KillReason::kNone};
+    std::atomic<KillReason> killed{KillReason::kNone};
     CondVar cv;
   };
 
@@ -362,72 +336,28 @@ class LockManager {
     LockDuration duration = LockDuration::kShort;
   };
 
-  // ---- Grant summary (seqlock word) --------------------------------------
-  //
-  //   bits  0..31  sequence number; odd while a shard-mutex holder is
-  //                mutating the entry (bumped *before* any compat scan)
-  //   bit   32     has_waiters: the waiter queue is non-empty
-  //   bit   33     retired: the entry is unlinked, awaiting reuse
-  //   bits 40..45  mode mask of the holder *vector* (one bit per LockMode;
-  //                fast-path slots are not folded in — they are always
-  //                S/IS and therefore compatible with any fast-path
-  //                request by construction)
-  static constexpr uint64_t kSummarySeqMask = 0xffff'ffffull;
-  static constexpr uint64_t kSummaryWaiters = uint64_t{1} << 32;
-  static constexpr uint64_t kSummaryRetired = uint64_t{1} << 33;
-  static constexpr int kSummaryMaskShift = 40;
-
-  static constexpr uint64_t SummaryModeBit(LockMode m) {
-    return uint64_t{1} << (kSummaryMaskShift + static_cast<int>(m));
-  }
-
-  /// Fast-path holder slot: lock-free representation of one transaction's
-  /// S/IS hold.  `txn` is claimed by CAS; `word` packs the mode (low 8
-  /// bits) and the acquisition count (remaining bits).  A slot with
-  /// `word == 0` is empty or mid-claim/mid-undo and is ignored by scans.
-  struct FpSlot {
-    wm::Atomic<TxnId> txn{kInvalidTxn};
-    wm::Atomic<uint64_t> word{0};
-  };
-  static constexpr size_t kFpSlots = 8;
-  static constexpr uint64_t kFpCountOne = uint64_t{1} << 8;
-
-  static constexpr LockMode FpMode(uint64_t word) {
-    return static_cast<LockMode>(word & 0xff);
-  }
-  static constexpr uint64_t FpWord(LockMode mode, uint64_t count) {
-    return static_cast<uint64_t>(mode) | (count << 8);
-  }
-
-  /// Lock-table entry, embedded in a per-shard bucket chain.  `res` and
-  /// `next` are read lock-free by the fast path; everything below the
-  /// summary is guarded by the owning shard's mutex (expressed as
+  /// Lock-table entry, embedded in a per-shard bucket chain.  Every
+  /// field is guarded by the owning shard's mutex (expressed as
   /// REQUIRES(shard.mu) on the accessors — the analysis cannot tie a
   /// member to a mutex in a different object).
   struct Entry {
-    ResourceId res;                  ///< immutable while linked
-    wm::Atomic<Entry*> next{nullptr};
-    wm::Atomic<uint64_t> summary{0};
-    std::array<FpSlot, kFpSlots> fp{};
-    std::vector<Holder> holders;     ///< guarded by the shard mutex
-    std::vector<std::shared_ptr<WaiterState>> waiters;  ///< shard mutex
-    uint64_t retire_stamp = 0;       ///< EBR epoch at unlink (shard mutex)
+    ResourceId res;
+    Entry* next = nullptr;
+    std::vector<Holder> holders;
+    std::vector<std::shared_ptr<WaiterState>> waiters;
   };
 
   static constexpr size_t kBucketsPerShard = 256;
 
   struct Shard {
     mutable Mutex mu;
-    /// Bucket heads of the intrusive entry chain; written under `mu`,
-    /// traversed lock-free under an EBR guard.
-    std::array<wm::Atomic<Entry*>, kBucketsPerShard> buckets{};
-    /// Linked entries (inspection; maintained under `mu`).
-    size_t num_entries CODLOCK_GUARDED_BY(mu) = 0;
-    /// Unlinked entries awaiting epoch-safe reuse, oldest first.
+    /// Bucket heads of the intrusive entry chain.
+    std::array<Entry*, kBucketsPerShard> buckets CODLOCK_GUARDED_BY(mu) = {};
+    /// Unlinked entry nodes kept for reuse (at most `kEntryPoolSize`).
     std::vector<Entry*> retired CODLOCK_GUARDED_BY(mu);
   };
 
-  /// Per-shard cap on pooled (retired) entry nodes beyond which epoch-safe
+  /// Per-shard cap on pooled (retired) entry nodes beyond which retired
   /// nodes are freed outright (bounds idle memory).
   static constexpr size_t kEntryPoolSize = 32;
 
@@ -465,32 +395,6 @@ class LockManager {
     std::unordered_map<TxnId, WaitRec> waiting_ CODLOCK_GUARDED_BY(mu_);
   };
 
-  /// RAII seqlock window for entry mutations under the shard mutex: the
-  /// constructor bumps the summary sequence to odd *before* the caller
-  /// scans holders or fast-path slots for a grant decision; the destructor
-  /// recomputes the flags/mask from the entry and publishes an even
-  /// sequence.  Must not span a condition-variable wait and must not nest.
-  class EntryMutation {
-   public:
-    explicit EntryMutation(Entry& e) : e_(e) {
-      uint64_t s = e_.summary.load(wm::relaxed);
-      e_.summary.store(s + 1, wm::seq_cst);
-    }
-    ~EntryMutation() {
-      uint64_t cur = e_.summary.load(wm::relaxed);
-      uint64_t flags = cur & kSummaryRetired;
-      if (!e_.waiters.empty()) flags |= kSummaryWaiters;
-      for (const Holder& h : e_.holders) flags |= SummaryModeBit(h.mode);
-      e_.summary.store(((cur + 1) & kSummarySeqMask) | flags,
-                       wm::seq_cst);
-    }
-    EntryMutation(const EntryMutation&) = delete;
-    EntryMutation& operator=(const EntryMutation&) = delete;
-
-   private:
-    Entry& e_;
-  };
-
   size_t ShardIndexFor(ResourceId r) const {
     return ResourceIdHash{}(r) & shard_mask_;
   }
@@ -501,28 +405,19 @@ class LockManager {
 
   Shard& ShardFor(ResourceId r) const { return shards_[ShardIndexFor(r)]; }
 
-  /// Lock-free chain lookup.  Callers without the shard mutex must hold an
-  /// EBR guard for the duration of any use of the returned pointer.
-  Entry* FindEntry(const Shard& shard, const ResourceId& res) const;
+  /// Chain lookup; nullptr when \p res has no entry.
+  Entry* FindEntry(const Shard& shard, const ResourceId& res) const
+      CODLOCK_REQUIRES(shard.mu);
 
-  /// Finds or creates the entry for \p res, reusing an epoch-safe retired
-  /// node when one is available.
+  /// Finds or creates the entry for \p res, reusing a pooled node when
+  /// one is available.
   Entry& EntryFor(Shard& shard, const ResourceId& res)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Unlinks an empty entry (no holders, waiters or fast-path slots),
-  /// marks it retired and stamps it for epoch-safe reuse.  Must run inside
-  /// an EntryMutation window.
-  void RetireEntry(Shard& shard, Entry& entry) CODLOCK_REQUIRES(shard.mu);
-
-  /// RetireEntry iff the entry is fully empty.  Must run inside an
-  /// EntryMutation window.
+  /// Unlinks \p entry once it has neither holders nor waiters, pooling
+  /// the node for reuse (or freeing it when the pool is full).
   void MaybeRetireEntry(Shard& shard, Entry& entry)
       CODLOCK_REQUIRES(shard.mu);
-
-  /// True when no fast-path slot of \p entry holds a count (transient
-  /// claims count as occupied — conservative).
-  static bool FpSlotsEmpty(const Entry& entry);
 
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
@@ -530,8 +425,7 @@ class LockManager {
   /// \p granted to the mode now held, \p record_held when the caller
   /// must register the new (txn, resource) pair and \p long_changed when
   /// the caller must note a long-lock change (a long request, or a
-  /// conversion of a long holder).  Must run inside an EntryMutation
-  /// window.
+  /// conversion of a long holder).
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
                       const AcquireOptions& options, LockMode& granted,
                       bool& record_held, bool& long_changed)
@@ -548,32 +442,10 @@ class LockManager {
                        bool& record_held, bool& long_changed,
                        LockMode& granted) CODLOCK_REQUIRES(shard.mu);
 
-  /// Slow path of `Acquire` (shard + registry + cache bookkeeping) after
-  /// the fast path missed.
+  /// `Acquire` past the cache (shard + registry + cache bookkeeping).
   Status AcquireSlow(TxnId txn, ResourceId resource, LockMode mode,
                      const AcquireOptions& options, TxnLockCache* cache)
       CODLOCK_EXCLUDES(registry_mu_);
-
-  /// Optimistic compatible-mode grant: validates the entry's grant
-  /// summary, claims a fast-path slot and revalidates — no shard mutex.
-  /// On success the grant is fully accounted (stats, cache note, held
-  /// registry).  Returns false on any miss or validation failure (the
-  /// caller proceeds to the slow path).
-  bool TryFastpathAcquire(TxnId txn, ResourceId resource, LockMode mode,
-                          const AcquireOptions& options, TxnLockCache* cache)
-      CODLOCK_EXCLUDES(registry_mu_);
-
-  /// Undoes a fast-path claim that failed revalidation, then repairs any
-  /// waiter that may have parked against the transient hold (takes the
-  /// shard mutex for the repair).
-  void UndoFastpathClaim(Shard& shard, Entry& entry, FpSlot& slot,
-                         bool fresh_claim) CODLOCK_EXCLUDES(shard.mu);
-
-  enum class FpRelease { kNoSlot, kReleased, kReleasedLast };
-
-  /// Lock-free release of one fast-path acquisition.  kReleasedLast means
-  /// the slot was freed entirely (the caller should drop its cached mode).
-  FpRelease FastpathRelease(TxnId txn, ResourceId resource);
 
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
   /// waits-for graph, promotes unblocked waiters and drops an empty entry.
@@ -581,14 +453,13 @@ class LockManager {
                          const WaiterState* waiter, const Stopwatch& waited)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Grant test for (txn, target mode) against all *other* holders —
-  /// vector holders and fast-path slots.  Counts compatibility tests in
-  /// stats.  Grant decisions must run inside an EntryMutation window.
+  /// Grant test for (txn, target mode) against all *other* holders.
+  /// Counts compatibility tests in stats.
   bool CompatibleWithHolders(const Shard& shard, const Entry& entry, TxnId txn,
                              LockMode target) CODLOCK_REQUIRES(shard.mu);
 
-  /// Blockers of (txn, target mode): other holders (vector or fast-path)
-  /// with incompatible modes, plus (for non-conversion requests) earlier
+  /// Blockers of (txn, target mode): other holders with incompatible
+  /// modes, plus (for non-conversion requests) earlier
   /// queued waiters.
   std::vector<TxnId> BlockersOf(const Shard& shard, const Entry& entry,
                                 TxnId txn, LockMode target,
@@ -597,7 +468,7 @@ class LockManager {
 
   /// Promotes grantable waiters at the front of the queue and wakes each
   /// one on its own condition variable.  Called with the shard mutex held
-  /// whenever holders change; must run inside an EntryMutation window.
+  /// whenever holders change.
   void GrantWaiters(Shard& shard, Entry& entry) CODLOCK_REQUIRES(shard.mu);
 
   void EraseWaiter(Shard& shard, Entry& entry, const WaiterState* w)
@@ -635,21 +506,16 @@ class LockManager {
   WaitsForGraph wfg_;
   LockStats stats_;
 
-  /// Set once the first fast-path grant lands; lets Release skip the
-  /// lock-free probe entirely for managers that never see the fast path
-  /// (raw users without caches).
-  wm::Atomic<bool> fastpath_used_{false};
-
   /// Requests currently blocked in AcquireLocked (shedding + drain).
-  wm::Atomic<size_t> blocked_waiters_{0};
+  std::atomic<size_t> blocked_waiters_{0};
   /// Set by DrainForShutdown: requests that would wait fail instead.
-  wm::Atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};
 
   mutable Mutex wounded_mu_;
   std::unordered_set<TxnId> wounded_ CODLOCK_GUARDED_BY(wounded_mu_);
   /// Mirror of wounded_.size(): lets the hot path skip wounded_mu_ when no
   /// wound is outstanding (the overwhelmingly common case).
-  wm::Atomic<size_t> wounded_count_{0};
+  std::atomic<size_t> wounded_count_{0};
 
   mutable Mutex registry_mu_;
   std::unordered_map<TxnId, std::vector<ResourceId>> txn_locks_
@@ -669,7 +535,7 @@ class LockManager {
       CODLOCK_GUARDED_BY(long_changes_mu_);
   /// Mirror of caches_.size(): lets release paths skip caches_mu_ entirely
   /// when no cache is attached anywhere.
-  wm::Atomic<size_t> cache_count_{0};
+  std::atomic<size_t> cache_count_{0};
 };
 
 }  // namespace codlock::lock

@@ -1,6 +1,5 @@
 /// \file txn_lock_cache.h
-/// \brief Transaction-local cache of held lock modes (the acquisition fast
-/// path).
+/// \brief Transaction-local cache of held lock modes.
 ///
 /// Every protocol operation of §4.4.2 locks a root-to-leaf chain, and
 /// upward/downward propagation re-acquires the same intention locks over
@@ -40,9 +39,9 @@
 ///  3. Any event that can weaken or drop a held lock invalidates: the
 ///     owner erases the entry in place (same thread), every other path
 ///     bumps the epoch which discards the entire cache.
-///  4. Fast-path grants are counted locally (`pending`); a matching
-///     `Release` consumes a pending count first, so the shard-side hold
-///     count only ever pairs with slow-path acquisitions.
+///  4. Cache hits are counted locally (`pending`); a matching `Release`
+///     consumes a pending count first, so the shard-side hold count only
+///     ever pairs with acquisitions that reached the shard.
 ///  5. A wound invalidates the whole cache, so a wounded transaction's
 ///     next acquisition reaches the slow path and fails with kAborted —
 ///     the cache never masks a wound or deadlock kill.
@@ -50,13 +49,13 @@
 #ifndef CODLOCK_LOCK_TXN_LOCK_CACHE_H_
 #define CODLOCK_LOCK_TXN_LOCK_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "lock/mode.h"
 #include "lock/resource.h"
 #include "util/thread_annotations.h"
-#include "util/wm_atomic.h"
 
 namespace codlock::lock {
 
@@ -87,11 +86,7 @@ class TxnLockCache {
     ResourceId res;
     LockMode mode = LockMode::kNL;
     uint8_t duration = 0;   ///< 1 when the shard-side holder is long.
-    uint8_t fastpath = 0;   ///< 1 when an optimistic fast-path slot may
-                            ///< back this mode (release probes the entry).
-    uint8_t registered = 0; ///< 1 once the (txn, resource) pair is in the
-                            ///< lock manager's held-lock registry.
-    uint32_t pending = 0;   ///< fast-path grants not yet released
+    uint32_t pending = 0;   ///< cache hits not yet released
   };
 
   /// Mode this transaction is known to hold on \p r (kNL on miss or after
@@ -118,46 +113,17 @@ class TxnLockCache {
     return true;
   }
 
-  /// Records a slow-path grant of \p mode on \p r.  Owner thread only.
+  /// Records a shard-side grant of \p mode on \p r.  Owner thread only.
   void Note(const ResourceId& r, LockMode mode, bool is_long) {
     AssertOwner();
     Fresh();  // start a fresh array if an invalidation raced the grant
     Slot* s = FindOrCreate(r);
     if (s == nullptr) return;  // full: stay uncached
     s->mode = Supremum(s->mode, mode);
-    s->registered = 1;  // the slow path records the pair itself
     if (is_long) s->duration = 1;
   }
 
-  /// Records an optimistic fast-path grant of \p mode on \p r (always
-  /// short duration).  Returns true when the caller must still register
-  /// the (txn, resource) pair in the held-lock registry — i.e. on the
-  /// first fast-path grant for this resource.  Owner thread only.
-  bool NoteFastpath(const ResourceId& r, LockMode mode) {
-    AssertOwner();
-    Fresh();
-    Slot* s = FindOrCreate(r);
-    if (s == nullptr) return true;  // full: caller registers defensively
-    s->mode = Supremum(s->mode, mode);
-    s->fastpath = 1;
-    const bool need_record = s->registered == 0;
-    s->registered = 1;
-    return need_record;
-  }
-
-  /// True when a release of \p r should probe the entry's fast-path slots
-  /// before taking the shard mutex.  Conservative: an invalidated cache or
-  /// an uncached resource answers true (probe; a miss is cheap and the
-  /// slow path handles fast-path slots too).  Owner thread only.
-  bool MaybeFastpathHeld(const ResourceId& r) {
-    AssertOwner();
-    if (!Fresh()) return true;
-    const Slot* s = Find(r);
-    if (s == nullptr) return true;
-    return s->fastpath != 0;
-  }
-
-  /// Consumes one fast-path grant of \p r if any is pending; the caller
+  /// Consumes one cache hit of \p r if any is pending; the caller
   /// skips the shard entirely when this returns true.  Owner thread only.
   bool ConsumeRelease(const ResourceId& r) {
     AssertOwner();
@@ -182,12 +148,12 @@ class TxnLockCache {
   void Clear() {
     AssertOwner();
     slots_.clear();
-    seen_epoch_ = epoch_.load(wm::acquire);
+    seen_epoch_ = epoch_.load(std::memory_order_acquire);
   }
 
   /// Cross-thread invalidation: the owner discards the array on its next
   /// access.  Safe from any thread.
-  void Invalidate() { epoch_.fetch_add(1, wm::release); }
+  void Invalidate() { epoch_.fetch_add(1, std::memory_order_release); }
 
   /// Number of live cached entries (test/inspection; owner thread only).
   size_t size() {
@@ -196,7 +162,7 @@ class TxnLockCache {
     return slots_.size();
   }
 
-  /// The slots a fast-path lookup would currently trust: empty if a
+  /// The slots a lookup would currently trust: empty if a
   /// pending invalidation would discard the array first, the live array
   /// otherwise.  This is the cache-coherence oracle's view — every
   /// returned slot must be covered by the shard table's ground truth.
@@ -206,7 +172,7 @@ class TxnLockCache {
   /// or at an operation boundary), making this effectively an owner-thread
   /// read even when issued from the controller.
   std::vector<Slot> AuditSnapshot() const CODLOCK_NO_THREAD_SAFETY_ANALYSIS {
-    if (epoch_.load(wm::acquire) != seen_epoch_) return {};
+    if (epoch_.load(std::memory_order_acquire) != seen_epoch_) return {};
     return slots_;
   }
 
@@ -218,7 +184,7 @@ class TxnLockCache {
   /// Discards the array if an invalidation happened since the last access.
   /// Returns true when the contents are trustworthy.
   bool Fresh() CODLOCK_REQUIRES(owner_) {
-    uint64_t e = epoch_.load(wm::acquire);
+    uint64_t e = epoch_.load(std::memory_order_acquire);
     if (e == seen_epoch_) return true;
     slots_.clear();
     seen_epoch_ = e;
@@ -237,13 +203,13 @@ class TxnLockCache {
     Slot* s = Find(r);
     if (s != nullptr) return s;
     if (slots_.size() >= kMaxEntries) return nullptr;
-    slots_.push_back(Slot{r, LockMode::kNL, 0, 0, 0, 0});
+    slots_.push_back(Slot{r, LockMode::kNL, 0, 0});
     return &slots_.back();
   }
 
   OwnerThreadCap owner_;
   std::vector<Slot> slots_ CODLOCK_GUARDED_BY(owner_);
-  wm::Atomic<uint64_t> epoch_{0};
+  std::atomic<uint64_t> epoch_{0};
   uint64_t seen_epoch_ CODLOCK_GUARDED_BY(owner_) = 0;
 };
 

@@ -70,12 +70,8 @@ struct LockStats {
   Counter immediate_grants;   ///< Slow-path grants that never blocked.
   Counter cache_hits;         ///< Grants answered by a per-txn lock cache
                               ///< (no shard mutex touched).
-  Counter fastpath_grants;    ///< Grants by the optimistic compatible-mode
-                              ///< fast path (seqlock-validated, no shard
-                              ///< mutex; also counted in grants).
-  Counter fastpath_failures;  ///< Fast-path attempts that failed seqlock
-                              ///< revalidation and fell back to the slow
-                              ///< path after undoing their claim.
+  Counter fastpath_grants;    ///< No longer incremented; kept only because
+                              ///< the benchmark reads it.
   Counter combine_published;  ///< No longer incremented; kept only because
                               ///< the benchmark reads it.
   Counter combine_drained;    ///< No longer incremented; kept only because

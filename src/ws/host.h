@@ -3,7 +3,7 @@
 /// `ws::Server` (lock tables, leases, stable storage) and drains the
 /// shared-memory job ring.
 ///
-/// Robustness model (DESIGN.md §13):
+/// Robustness model (DESIGN.md §12):
 ///
 ///  * **Admission control** — `Submit` enforces a bounded in-flight job
 ///    count per handle and a global cap before a frame may publish;

@@ -1,19 +1,17 @@
 /// \file contention_stress_test.cc
-/// \brief ThreadSanitizer stress for the optimistic fast path, batched
-/// `AcquirePath` chains and epoch-based entry reclamation.
+/// \brief ThreadSanitizer stress for the shard-mutex lock table, batched
+/// `AcquirePath` chains and entry-node reuse.
 ///
-/// The lock-free surfaces added for multi-core scaling (DESIGN.md §11)
-/// have races the scripted tests cannot provoke on purpose: a fast-path
-/// S/IS grant validating its seqlock premise while a slow-path X writer
-/// mutates the entry, per-shard path batches from many threads meeting
-/// in the shard mutexes of a shared ancestor spine, and an entry being
-/// retired while a fast-path reader still holds an epoch guard over it.
-/// Each test hammers one of those seams from 8+ threads under the `tsan`
-/// preset and then checks the invariants that survive any interleaving:
-/// the table drains, the held-locks gauge returns to zero, and the fast
-/// path actually fired where it is under test (its counters are non-zero
-/// — a stress test that silently fell back to the slow path proves
-/// nothing).
+/// Some races of the lock table (DESIGN.md §11) are beyond what the
+/// scripted tests can provoke on purpose: cache hits and releases of
+/// shared modes racing exclusive writers and snapshot readers on a few
+/// hot entries, per-shard path batches from many threads meeting in the
+/// shard mutexes of a shared ancestor spine, and entries emptied and
+/// recreated so fast that pooled nodes pass between keys on almost every
+/// cycle.  Each test hammers one of
+/// those seams from 8+ threads under the `tsan` preset and then checks
+/// the invariants that survive any interleaving: the table drains and
+/// the held-locks gauge returns to zero.
 
 #include "lock/lock_manager.h"
 #include "lock/mode.h"
@@ -31,12 +29,12 @@ namespace {
 
 constexpr int kThreads = 8;
 
-/// Mixed S/IS/X churn over a handful of hot resources: fast-path grants
-/// race slow-path exclusive writers, releases race validation scans, and
-/// emptied entries retire under readers.  A standing IS pinner keeps a
-/// subset of keys warm so the fast path engages; the unpinned keys churn
-/// through retire/revive cycles to stress epoch reclamation.
-TEST(ContentionStressTest, FastpathMixedModeChurn) {
+/// Mixed S/IS/IX/X churn over a handful of hot resources: shared grants
+/// race exclusive writers, releases race snapshot scans, and emptied
+/// entries retire under readers.  A standing IS pinner keeps a subset of
+/// keys linked; the unpinned keys churn through retire/revive cycles
+/// that recycle pooled entry nodes.
+TEST(ContentionStressTest, MixedModeHotKeyChurn) {
   LockManager::Options options;
   options.num_shards = 4;  // several hot keys per shard
   // X requests on a pinned key can never be granted (IS-X conflict with
@@ -82,7 +80,7 @@ TEST(ContentionStressTest, FastpathMixedModeChurn) {
       lm.DetachCache(txn);
     });
   }
-  // An inspector races the snapshot paths against fast-path mutation.
+  // An inspector races the snapshot paths against the churn.
   workers.emplace_back([&] {
     while (!done.load(std::memory_order_acquire)) {
       lm.SnapshotAllLocks();
@@ -98,16 +96,12 @@ TEST(ContentionStressTest, FastpathMixedModeChurn) {
   lm.ReleaseAll(pinner);
   EXPECT_EQ(lm.NumEntries(), 0u);
   EXPECT_EQ(lm.stats().held_locks.load(std::memory_order_relaxed), 0);
-  // The seam under test must have fired: at least some grants went
-  // through the optimistic path (failed validations fall back silently,
-  // so a zero here would mean the whole test ran on the slow path).
-  EXPECT_GT(lm.stats().fastpath_grants.value(), 0u);
 }
 
 /// Concurrent `AcquirePath` chains over a shared ancestor spine: per-shard
 /// batches of many threads meet in the same shard mutexes, and X-leaf
-/// chains interleave with fast-path-eligible S-leaf chains so batch
-/// application races optimistic validation.
+/// chains (IX spine) interleave with S-leaf chains (IS spine) on the same
+/// ancestors.
 TEST(ContentionStressTest, DeepPathChurn) {
   LockManager::Options options;
   options.num_shards = 4;
@@ -152,10 +146,10 @@ TEST(ContentionStressTest, DeepPathChurn) {
 }
 
 /// Retire/revive churn: half the threads cycle the *only* lock on their
-/// key (so every release empties and retires the entry), the other half
-/// chase those same keys with fast-path-eligible requests whose epoch
-/// guards must keep reclaimed entries alive while they validate.
-TEST(ContentionStressTest, FastpathVersusRetireChurn) {
+/// key (so every release empties and retires the entry, and the next
+/// grant reuses a pooled node), the other half chase those same keys with
+/// S requests that queue on and are granted from the recycled entries.
+TEST(ContentionStressTest, SharedVersusExclusiveRetireChurn) {
   LockManager::Options options;
   options.num_shards = 2;  // maximal key overlap per shard
   LockManager lm(options);

@@ -1,13 +1,13 @@
-/// Coherence tests for the per-transaction held-lock cache and the batched
-/// path acquisition fast path (`LockManager::AcquirePath`).
+/// Coherence tests for the per-transaction held-lock cache and batched
+/// path acquisition (`LockManager::AcquirePath`).
 ///
 /// The cache's safety argument (see txn_lock_cache.h) rests on a short list
 /// of rules; each test below pins one of them:
 ///   - a hit never touches a shard, and only answers covered requests;
 ///   - Release / Downgrade / ReleaseAll / a wound all drop the cached mode
 ///     before it could answer stale;
-///   - fast-path grants and releases balance against shard-side hold
-///     counts (rule 4).
+///   - cache hits and releases balance against shard-side hold counts
+///     (rule 4).
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,7 @@ TEST(TxnLockCacheTest, CoveredReacquisitionHitsWithoutShardTraffic) {
   EXPECT_EQ(lm.stats().requests.value(), slow_before);
   EXPECT_EQ(lm.stats().cache_hits.value(), 2u);
 
-  // Rule 4: fast grants are consumed by releases before the shard-side
+  // Rule 4: cache hits are consumed by releases before the shard-side
   // hold count is touched, so the books balance exactly.
   ASSERT_TRUE(lm.Release(1, kR1, &cache).ok());
   ASSERT_TRUE(lm.Release(1, kR1, &cache).ok());
