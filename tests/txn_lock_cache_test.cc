@@ -195,6 +195,127 @@ TEST(TxnLockCacheTest, LongRequestNeverPiggybacksOnShortHolder) {
   lm.DetachCache(1);
 }
 
+// ---- The cache on its own (no lock manager) ------------------------------
+
+TEST(TxnLockCacheSlotTest, MissesUntilNotedThenHitsOnlyCoveredModes) {
+  TxnLockCache cache;
+  EXPECT_FALSE(cache.TryHit(kR1, LockMode::kIS, false));
+  cache.Note(kR1, LockMode::kIX, false);
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kIX);
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kIS, false));
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kIX, false));
+  EXPECT_FALSE(cache.TryHit(kR1, LockMode::kS, false));
+  EXPECT_FALSE(cache.TryHit(kR1, LockMode::kX, false));
+  EXPECT_FALSE(cache.TryHit(kR2, LockMode::kIS, false));
+  const std::vector<TxnLockCache::Slot> slots = cache.AuditSnapshot();
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].pending, 2u);  // the two hits, not the misses
+}
+
+TEST(TxnLockCacheSlotTest, NotesMergeToTheSupremum) {
+  TxnLockCache cache;
+  cache.Note(kR1, LockMode::kIS, false);
+  cache.Note(kR1, LockMode::kIX, false);
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kIX);
+  cache.Note(kR1, LockMode::kS, false);
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kSIX);
+  cache.Note(kR1, LockMode::kIS, false);  // never weakens
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kSIX);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(TxnLockCacheSlotTest, ReleasesConsumeOnlyPendingHits) {
+  TxnLockCache cache;
+  cache.Note(kR1, LockMode::kS, false);
+  EXPECT_FALSE(cache.ConsumeRelease(kR1));  // the shard's own grant
+  ASSERT_TRUE(cache.TryHit(kR1, LockMode::kS, false));
+  ASSERT_TRUE(cache.TryHit(kR1, LockMode::kIS, false));
+  EXPECT_TRUE(cache.ConsumeRelease(kR1));
+  EXPECT_TRUE(cache.ConsumeRelease(kR1));
+  EXPECT_FALSE(cache.ConsumeRelease(kR1));
+  EXPECT_FALSE(cache.ConsumeRelease(kR2));
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kS);  // still held
+}
+
+TEST(TxnLockCacheSlotTest, LongHitsNeedALongSlot) {
+  TxnLockCache cache;
+  cache.Note(kR1, LockMode::kX, false);
+  EXPECT_FALSE(cache.TryHit(kR1, LockMode::kS, true));
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kS, false));
+  cache.Note(kR1, LockMode::kS, true);  // duration upgrade, mode kept
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kX);
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kS, true));
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kIS, false));
+}
+
+TEST(TxnLockCacheSlotTest, EraseDropsOneSlotAndKeepsTheRest) {
+  TxnLockCache cache;
+  const ResourceId r3{3, 300};
+  cache.Note(kR1, LockMode::kIS, false);
+  cache.Note(kR2, LockMode::kIX, false);
+  cache.Note(r3, LockMode::kX, true);
+  cache.Erase(kR1);  // not the last slot: the last one moves into it
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(cache.CachedMode(kR2), LockMode::kIX);
+  EXPECT_EQ(cache.CachedMode(r3), LockMode::kX);
+  EXPECT_TRUE(cache.TryHit(r3, LockMode::kS, true));
+  cache.Erase(kR1);  // absent: no effect
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(TxnLockCacheSlotTest, InvalidationDiscardsEverySlotOnNextAccess) {
+  TxnLockCache cache;
+  cache.Note(kR1, LockMode::kS, false);
+  cache.Note(kR2, LockMode::kIS, false);
+  ASSERT_TRUE(cache.TryHit(kR1, LockMode::kS, false));
+  std::thread foreign([&] { cache.Invalidate(); });
+  foreign.join();
+  // The audit view already trusts nothing; the owner drops the array.
+  EXPECT_TRUE(cache.AuditSnapshot().empty());
+  EXPECT_FALSE(cache.TryHit(kR2, LockMode::kIS, false));
+  EXPECT_EQ(cache.size(), 0u);
+  // Pending hits went with the slots: a release now reaches the shard.
+  EXPECT_FALSE(cache.ConsumeRelease(kR1));
+  // Grants noted after the invalidation are trusted again.
+  cache.Note(kR2, LockMode::kIS, false);
+  EXPECT_TRUE(cache.TryHit(kR2, LockMode::kIS, false));
+  EXPECT_EQ(cache.AuditSnapshot().size(), 1u);
+}
+
+TEST(TxnLockCacheSlotTest, FullCacheLeavesNewResourcesUncached) {
+  TxnLockCache cache;
+  for (uint64_t i = 0; i < TxnLockCache::kMaxEntries; ++i) {
+    cache.Note(ResourceId{5, i}, LockMode::kIS, false);
+  }
+  ASSERT_EQ(cache.size(), TxnLockCache::kMaxEntries);
+  const ResourceId extra{5, TxnLockCache::kMaxEntries};
+  cache.Note(extra, LockMode::kS, false);
+  EXPECT_EQ(cache.size(), TxnLockCache::kMaxEntries);
+  EXPECT_FALSE(cache.TryHit(extra, LockMode::kS, false));
+  // Slots already cached still merge upgrades.
+  cache.Note(ResourceId{5, 0}, LockMode::kX, false);
+  EXPECT_EQ(cache.CachedMode(ResourceId{5, 0}), LockMode::kX);
+  // Erasing one frees room for the next grant.
+  cache.Erase(ResourceId{5, 1});
+  cache.Note(extra, LockMode::kS, false);
+  EXPECT_EQ(cache.CachedMode(extra), LockMode::kS);
+}
+
+TEST(TxnLockCacheSlotTest, ClearForgetsSlotsAndAbsorbsAnInvalidation) {
+  TxnLockCache cache;
+  cache.Note(kR1, LockMode::kS, false);
+  ASSERT_TRUE(cache.TryHit(kR1, LockMode::kS, false));
+  cache.Invalidate();
+  cache.Clear();
+  EXPECT_TRUE(cache.AuditSnapshot().empty());
+  EXPECT_FALSE(cache.ConsumeRelease(kR1));
+  // Clear caught up with the epoch, so the next grant is trusted at once.
+  cache.Note(kR1, LockMode::kIS, false);
+  EXPECT_TRUE(cache.TryHit(kR1, LockMode::kIS, false));
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(AcquirePathTest, LocksEveryLevelAndWarmsCache) {
   LockManager lm;
   TxnLockCache cache;

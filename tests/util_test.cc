@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,6 +159,21 @@ TEST(LockStatsTest, ResetClearsEverything) {
   EXPECT_EQ(s.deadlocks.value(), 0u);
   EXPECT_EQ(s.wait_ns.count(), 0u);
   EXPECT_EQ(s.held_locks.load(), 0);
+}
+
+TEST(LockStatsTest, ReportsLeaveOutCountersNothingIncrements) {
+  // fastpath_grants and combine_* stay as fields only for readers that
+  // still name them; the reports list live counters alone.
+  LockStats s;
+  s.cache_hits.Add(3);
+  s.fastpath_grants.Add(7);
+  s.combine_published.Add(7);
+  for (const std::string& report : {s.ToString(), s.ToJson()}) {
+    EXPECT_NE(report.find("cache_hits"), std::string::npos) << report;
+    EXPECT_EQ(report.find("fastpath"), std::string::npos) << report;
+    EXPECT_EQ(report.find("combine"), std::string::npos) << report;
+  }
+  EXPECT_NE(s.ToJson().find("\"cache_hits\": 3"), std::string::npos);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
